@@ -1227,21 +1227,23 @@ let exp_e14 () =
   in
   List.iter
     (fun (durability, label) ->
-      let r = Chaos.run (spec durability) in
-      Table.add_row table
-        [
-          label;
-          string_of_int r.Chaos.journal_appends;
-          string_of_int r.Chaos.journal_checkpoints;
-          string_of_int r.Chaos.replayed_records;
-          string_of_int r.Chaos.requeued;
-          string_of_int r.Chaos.give_ups;
-          string_of_int r.Chaos.lost_firings;
-          string_of_int r.Chaos.duplicate_firings;
-          string_of_int r.Chaos.logical_notices;
-          string_of_int r.Chaos.metric_notices;
-          yes_no r.Chaos.final_state_matches;
-        ])
+      match (Chaos.run (spec durability)).Chaos.outcome with
+      | Chaos.Compared { oracle; chaos = c; lost_firings; duplicate_firings } ->
+        Table.add_row table
+          [
+            label;
+            string_of_int c.Chaos.journal_appends;
+            string_of_int c.Chaos.journal_checkpoints;
+            string_of_int c.Chaos.replayed_records;
+            string_of_int c.Chaos.transport.Cm_core.Reliable.requeued;
+            string_of_int c.Chaos.transport.Cm_core.Reliable.give_ups;
+            string_of_int lost_firings;
+            string_of_int duplicate_firings;
+            string_of_int c.Chaos.logical_notices;
+            string_of_int c.Chaos.metric_notices;
+            yes_no (c.Chaos.final_state = oracle.Chaos.final_state);
+          ]
+      | _ -> failwith "E14: expected an oracle comparison")
     [
       (Journal.None, "none");
       (Journal.Journal, "journal");

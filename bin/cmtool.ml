@@ -850,73 +850,43 @@ let faults_cmd =
 let chaos_cmd_run seed events crashes crash_min crash_max workload durability
     churn heal shards sites no_check =
   let module Chaos = Cm_chaos.Chaos in
+  let refuse fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt in
   let chaos_workload =
-    match Chaos.workload_of_string workload with
-    | Some w -> w
-    | None ->
-      Printf.eprintf "unknown workload %S (payroll|bank)\n" workload;
-      exit 2
+    match workload with
+    | None -> if shards > 0 then Chaos.Ring { sites } else Chaos.Payroll
+    | Some w -> (
+      match Chaos.workload_of_string w with
+      | Some w -> w
+      | None -> refuse "unknown workload %S (payroll|bank)" w)
   in
-  if churn > 0 && chaos_workload <> Chaos.Payroll then begin
-    Printf.eprintf "--churn is only defined for the payroll workload\n";
-    exit 2
-  end;
-  if heal && chaos_workload <> Chaos.Payroll then begin
-    Printf.eprintf "--heal is only defined for the payroll workload\n";
-    exit 2
-  end;
   let durability =
     match Cm_core.Journal.durability_of_string durability with
     | Some d -> d
-    | None ->
-      Printf.eprintf
-        "unknown durability %S (none|journal|journal+checkpoint)\n" durability;
-      exit 2
+    | None -> refuse "unknown durability %S (none|journal|journal+checkpoint)" durability
   in
-  if shards > 0 then begin
-    if heal || churn > 0 then begin
-      Printf.eprintf "--shards cannot be combined with --heal or --churn\n";
-      exit 2
-    end;
-    let spec =
-      {
-        Chaos.ss_seed = seed;
-        ss_sites = sites;
-        ss_shards = shards;
-        ss_events = events;
-        ss_crashes = crashes;
-        ss_durability = durability;
-      }
-    in
-    let report = Chaos.run_sharded spec in
-    print_string (Chaos.shard_report_to_string report);
-    if Chaos.shard_passed report then 0 else 1
-  end
-  else if not (preflight ~label:workload ~no_check chaos_workload) then 1
-  else begin
-    let spec =
-      {
-        Chaos.seed;
-        events;
-        crashes;
-        crash_min_len = crash_min;
-        crash_max_len = crash_max;
-        durability;
-        chaos_workload;
-        churn;
-      }
-    in
-    if heal then begin
-      let report = Chaos.run_heal spec in
-      print_string (Chaos.heal_report_to_string report);
-      if Chaos.heal_passed report then 0 else 1
-    end
-    else begin
+  let spec =
+    {
+      Chaos.seed;
+      events;
+      crashes;
+      crash_min_len = crash_min;
+      crash_max_len = crash_max;
+      durability;
+      chaos_workload;
+      churn;
+      heal;
+      shards;
+    }
+  in
+  match Chaos.validate spec with
+  | Error reason -> refuse "%s" reason
+  | Ok () ->
+    let label = Chaos.workload_to_string chaos_workload in
+    if not (preflight ~label ~no_check chaos_workload) then 1
+    else
       let report = Chaos.run spec in
       print_string (Chaos.report_to_string report);
       if Chaos.passed report then 0 else 1
-    end
-  end
 
 let chaos_cmd =
   let seed = Cmtool_cli.seed_arg () in
@@ -940,8 +910,9 @@ let chaos_cmd =
                    messages")
   in
   let workload =
-    Arg.(value & opt string "payroll"
-         & info [ "workload" ] ~docv:"NAME" ~doc:"payroll or bank")
+    Arg.(value & opt (some string) None
+         & info [ "workload" ] ~docv:"NAME"
+             ~doc:"payroll or bank (default: payroll, or the ring under --shards)")
   in
   let durability =
     Arg.(value & opt string "journal+checkpoint"
@@ -952,32 +923,26 @@ let chaos_cmd =
     Arg.(value & opt int 0
          & info [ "churn" ] ~docv:"N"
              ~doc:"Live rule-program replacements (Evolution cutovers) to \
-                   interleave with the faults — payroll only.  Each cutover \
-                   swaps the propagation strategy for a different variant and \
-                   the harness additionally checks that every epoch drains and \
-                   retires cleanly and that guarantees proved under all epochs \
-                   hold on the observed timeline")
+                   interleave with the faults — payroll only.  Adds checks that \
+                   every epoch drains and retires and that guarantees proved \
+                   under all epochs hold on the observed timeline")
   in
   let heal =
     Arg.(value & flag
          & info [ "heal" ]
-             ~doc:"Run the self-healing schedule instead: silent-drop windows \
-                   on the notify channel plus one bad rule rollout, under \
-                   streaming guarantee monitors.  Checks that staleness is \
-                   detected within kappa + one tick, no read is served from a \
-                   stale copy, the bad cutover auto-rolls back (journaled), \
-                   and every quarantined copy probes back to service — \
-                   payroll only")
+             ~doc:"Run the self-healing schedule instead (payroll only): \
+                   silent-drop windows on the notify channel plus one bad rule \
+                   rollout under streaming monitors; staleness must be caught \
+                   within kappa + one tick, no stale copy served, the rollout \
+                   rolled back and every quarantined copy re-admitted")
   in
   let shards =
     Arg.(value & opt int 0
          & info [ "shards" ] ~docv:"N"
-             ~doc:"Run the sharded chaos schedule instead: a cross-shard \
-                   notification ring over N OCaml domains with crashes on \
-                   one shard while others keep firing.  The report is \
-                   byte-identical across repeated runs and across shard \
-                   counts for one seed (it omits N on purpose); 0 (the \
-                   default) keeps the classic single-system workloads")
+             ~doc:"Run the ring workload instead: a cross-shard notification \
+                   ring over N OCaml domains, crashing one shard while others \
+                   keep firing.  The report omits N, so one seed prints the \
+                   same bytes at every shard count; 0 keeps payroll/bank")
   in
   let sites =
     Arg.(value & opt int 6
@@ -991,7 +956,8 @@ let chaos_cmd =
              run the workload under it and fault-free, and check that recovery \
              turned every crash into a metric failure with nothing lost or \
              duplicated.  Output is byte-identical for identical arguments; \
-             exits non-zero if any invariant fails")
+             exits 2 on a combination of options that cannot run and 1 if any \
+             invariant fails")
     Term.(const chaos_cmd_run $ seed $ events $ crashes $ crash_min $ crash_max
           $ workload $ durability $ churn $ heal $ shards $ sites
           $ no_check_arg)

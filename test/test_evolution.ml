@@ -460,19 +460,22 @@ let fifty_seed_churn_chaos () =
     if not (Chaos.passed r) then
       Alcotest.failf "churn chaos seed %d FAIL:\n%s" seed
         (Chaos.report_to_string r);
-    Alcotest.(check (list string))
-      (Printf.sprintf "seed %d: both-epoch guarantee violations" seed)
-      [] r.Chaos.both_epoch_violations;
-    Alcotest.(check int)
-      (Printf.sprintf "seed %d: three cutovers" seed)
-      3 r.Chaos.cutovers;
-    Alcotest.(check int)
-      (Printf.sprintf "seed %d: every cutover retired" seed)
-      r.Chaos.cutovers r.Chaos.epoch_retirements;
-    Alcotest.(check int)
-      (Printf.sprintf "seed %d: retirement waited out the drain" seed)
-      0 r.Chaos.stale_epoch_rejections;
-    if r.Chaos.both_epoch_guarantees <> [] then incr claimed
+    match r.Chaos.outcome with
+    | Chaos.Compared { chaos = { Chaos.epochs = Some e; _ }; _ } ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d: both-epoch guarantee violations" seed)
+        [] e.Chaos.both_epoch_violations;
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: three cutovers" seed)
+        3 e.Chaos.cutovers;
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: every cutover retired" seed)
+        e.Chaos.cutovers e.Chaos.epoch_retirements;
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: retirement waited out the drain" seed)
+        0 e.Chaos.stale_epoch_rejections;
+      if e.Chaos.both_epoch_guarantees <> [] then incr claimed
+    | _ -> Alcotest.failf "seed %d: expected churn measurements" seed
   done;
   (* Guard against a vacuous invariant: the prover must actually claim a
      cross-epoch guarantee on most schedules. *)

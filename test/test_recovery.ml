@@ -233,6 +233,138 @@ let chaos_report_is_deterministic () =
   let r2 = Chaos.report_to_string (Chaos.run spec) in
   Alcotest.(check string) "chaos reports byte-identical" r1 r2
 
+(* -- one spec surface: what validate refuses, what it lets run -- *)
+
+let ring ?(sites = 6) shards =
+  { Chaos.default_spec with chaos_workload = Chaos.Ring { sites }; shards }
+
+(* The specs cmtool builds for every chaos argument set CI runs. *)
+let ci_specs =
+  let d = Chaos.default_spec in
+  [
+    ("--seed 42 --events 2000", { d with seed = 42; events = 2000 });
+    ( "--seed 7 --events 150 --crashes 3 --churn 3",
+      { d with seed = 7; events = 150; crashes = 3; churn = 3 } );
+    ("--heal --seed 42", { d with heal = true });
+    ( "--workload bank --crashes 0 --seed 42 --events 300",
+      { d with chaos_workload = Chaos.Bank; crashes = 0; events = 300 } );
+  ]
+  @ List.map
+      (fun n ->
+        ( Printf.sprintf "--shards %d --seed 42 --events 60 --crashes 2" n,
+          { (ring n) with events = 60; crashes = 2 } ))
+      [ 1; 2; 4 ]
+
+let validate_refuses_what_cannot_run () =
+  let d = Chaos.default_spec in
+  let bank = { d with chaos_workload = Chaos.Bank } in
+  List.iter
+    (fun (label, spec) ->
+      match Chaos.validate spec with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "validate accepted %s" label)
+    [
+      ("bank with churn", { bank with churn = 2 });
+      ("bank with heal", { bank with heal = true });
+      ("bank with shards", { bank with shards = 2 });
+      ("payroll with shards", { d with shards = 2 });
+      ("ring with heal", { (ring 2) with heal = true });
+      ("ring with churn", { (ring 2) with churn = 2 });
+      ("ring with 3 sites", ring ~sites:3 2);
+      ("ring with 0 shards", ring 0);
+      ("ring with -1 shards", ring (-1));
+      ("negative events", { d with events = -1 });
+      ("negative crashes", { d with crashes = -1 });
+    ];
+  List.iter
+    (fun (args, spec) ->
+      match Chaos.validate spec with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "validate refused CI set %s: %s" args e)
+    ci_specs;
+  match Chaos.run (ring ~sites:3 2) with
+  | _ -> Alcotest.fail "run accepted a refused spec"
+  | exception Invalid_argument _ -> ()
+
+(* -- reports pinned across commits --
+
+   MD5 of report_to_string per spec.  Run-to-run determinism is checked
+   elsewhere; these hold one seed to one report across changes of the
+   harness itself.  A deliberate report change updates the pin and says
+   which lines moved. *)
+
+let pinned_reports =
+  let d = Chaos.default_spec in
+  let compared w = { d with chaos_workload = w; events = 150; crashes = 3 } in
+  let by_seed label mk md5s =
+    List.mapi
+      (fun i md5 -> (Printf.sprintf "%s seed %d" label (i + 1), mk (i + 1), md5))
+      md5s
+  in
+  let ring_md5s =
+    [ "5c7375c863d8cc75894be93ae1fb3d2b"; "e14a4e7b2ab9a0fcfb68edd7aef7c6f4";
+      "0f18d7f68a9cb57fc9c2f3741fffcad2" ]
+  in
+  List.concat
+    [
+      by_seed "payroll"
+        (fun seed -> { (compared Chaos.Payroll) with seed })
+        [ "a6a41ee5a76a61e9967de8de5efbb246"; "b634bdb53c7c96d6a5d62d3bc9494a6b";
+          "e7fbd316561264dda3334dd6670ede09" ];
+      by_seed "bank"
+        (fun seed -> { (compared Chaos.Bank) with seed })
+        [ "f1ad985afc98d2106cfb60c5f1cb3eb0"; "61465247d83cdcb2a1b131791b484fe0";
+          "4aac0304ec47f7115d8e60d978985628" ];
+      by_seed "payroll churn"
+        (fun seed -> { (compared Chaos.Payroll) with seed; churn = 3 })
+        [ "a4707b41b3b9c391c59a8f948af65a6c"; "1721328748bf9189ec1e8f2a1fa9d829";
+          "7ea9bc81bd0fcefb41685a52327369a8" ];
+      by_seed "heal"
+        (fun seed -> { d with seed; heal = true })
+        [ "06cc110b6ad099c45bd403830a2fc800"; "e9e1b4d1d0e538faa4414915482cfad7";
+          "468d020f899cbbd673cdf6f408545998" ];
+      by_seed "ring shards 1"
+        (fun seed -> { (ring 1) with seed; events = 40; crashes = 2 })
+        ring_md5s;
+      by_seed "ring shards 2"
+        (fun seed -> { (ring 2) with seed; events = 40; crashes = 2 })
+        ring_md5s;
+    ]
+
+let pinned_report_case (label, spec, md5) =
+  Alcotest.test_case label `Quick (fun () ->
+      let r = Chaos.run spec in
+      let text = Chaos.report_to_string r in
+      Alcotest.(check string)
+        (Printf.sprintf "%s report digest\n%s" label text)
+        md5 (Digest.to_hex (Digest.string text));
+      Alcotest.(check bool) "the schedule run is the derived schedule" true
+        (r.Chaos.schedule = Chaos.schedule spec))
+
+(* -- bank: crash-free schedules keep X <= Y at every sampled instant -- *)
+
+let crash_free_bank_schedules_pass () =
+  for seed = 1 to 5 do
+    let spec =
+      {
+        Chaos.default_spec with
+        seed;
+        events = 300;
+        crashes = 0;
+        chaos_workload = Chaos.Bank;
+      }
+    in
+    let r = Chaos.run spec in
+    if not (Chaos.passed r) then
+      Alcotest.failf "bank verdict FAIL (seed %d):\n%s" seed (Chaos.report_to_string r);
+    Alcotest.(check (list bool))
+      (Printf.sprintf "seed %d: x-leq-y-always checked and holds" seed)
+      [ true ]
+      (List.filter_map
+         (fun i -> if i.Chaos.inv_name = "x-leq-y-always" then Some i.Chaos.ok else None)
+         r.Chaos.invariants)
+  done
+
 (* -- acceptance: the 50-crash schedule -- *)
 
 let fifty_crash_chaos_schedule_is_lossless () =
@@ -248,40 +380,47 @@ let fifty_crash_chaos_schedule_is_lossless () =
   let r = Chaos.run spec in
   if not (Chaos.passed r) then
     Alcotest.failf "chaos verdict FAIL:\n%s" (Chaos.report_to_string r);
-  Alcotest.(check int) "no lost firings" 0 r.Chaos.lost_firings;
-  Alcotest.(check int) "no duplicated firings" 0 r.Chaos.duplicate_firings;
-  Alcotest.(check int) "crashes were metric failures only" 0
-    r.Chaos.logical_notices;
-  Alcotest.(check bool) "crashes were visible" true (r.Chaos.metric_notices > 0);
-  Alcotest.(check bool) "final state converged" true r.Chaos.final_state_matches
+  match r.Chaos.outcome with
+  | Chaos.Compared { oracle; chaos; lost_firings; duplicate_firings } ->
+    Alcotest.(check int) "no lost firings" 0 lost_firings;
+    Alcotest.(check int) "no duplicated firings" 0 duplicate_firings;
+    Alcotest.(check int) "crashes were metric failures only" 0
+      chaos.Chaos.logical_notices;
+    Alcotest.(check bool) "crashes were visible" true (chaos.Chaos.metric_notices > 0);
+    Alcotest.(check bool) "final state converged" true
+      (chaos.Chaos.final_state = oracle.Chaos.final_state)
+  | _ -> Alcotest.fail "expected an oracle comparison"
 
 (* -- acceptance: self-healing across 50 seeded schedules -- *)
 
 let fifty_seed_heal_schedules_self_heal () =
   for seed = 1 to 50 do
-    let spec = { Chaos.default_spec with seed } in
-    let r = Chaos.run_heal spec in
-    if not (Chaos.heal_passed r) then
+    let spec = { Chaos.default_spec with seed; heal = true } in
+    let r = Chaos.run spec in
+    if not (Chaos.passed r) then
       Alcotest.failf "heal verdict FAIL (seed %d):\n%s" seed
-        (Chaos.heal_report_to_string r);
-    Alcotest.(check int)
-      (Printf.sprintf "seed %d: no stale serves" seed)
-      0 r.Chaos.h_stale_serves;
-    Alcotest.(check int)
-      (Printf.sprintf "seed %d: bad rollout rolled back" seed)
-      1 r.Chaos.h_rollbacks;
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: rollback journaled" seed)
-      true r.Chaos.h_rollback_journaled;
-    Alcotest.(check (list string))
-      (Printf.sprintf "seed %d: streamed verdicts match the fold" seed)
-      [] r.Chaos.h_fold_mismatches;
+        (Chaos.report_to_string r);
+    (match r.Chaos.outcome with
+    | Chaos.Healed { stale_serves; rollbacks; rollback_journaled; fold_mismatches; _ } ->
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: no stale serves" seed)
+        0 stale_serves;
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: bad rollout rolled back" seed)
+        1 rollbacks;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: rollback journaled" seed)
+        true rollback_journaled;
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d: streamed verdicts match the fold" seed)
+        [] fold_mismatches
+    | _ -> Alcotest.fail "expected a heal outcome");
     (* Spot-check byte determinism (every seed would double the sweep). *)
     if seed mod 10 = 0 then
       Alcotest.(check string)
         (Printf.sprintf "seed %d: deterministic report" seed)
-        (Chaos.heal_report_to_string r)
-        (Chaos.heal_report_to_string (Chaos.run_heal spec))
+        (Chaos.report_to_string r)
+        (Chaos.report_to_string (Chaos.run spec))
   done
 
 (* -- acceptance: sharded chaos across 25 seeded schedules --
@@ -297,43 +436,44 @@ let twenty_five_seed_sharded_chaos () =
   for seed = 1 to 25 do
     let spec =
       {
-        Chaos.default_shard_spec with
-        ss_seed = seed;
-        ss_events = 40;
-        ss_crashes = 2;
-        ss_durability = Journal.Journal_with_checkpoint;
+        (ring 2) with
+        seed;
+        events = 40;
+        crashes = 2;
+        durability = Journal.Journal_with_checkpoint;
       }
     in
-    let r2 = Chaos.run_sharded { spec with ss_shards = 2 } in
-    if not (Chaos.shard_passed r2) then
+    let r2 = Chaos.run spec in
+    if not (Chaos.passed r2) then
       Alcotest.failf "sharded chaos verdict FAIL (seed %d):\n%s" seed
-        (Chaos.shard_report_to_string r2);
-    Alcotest.(check int)
-      (Printf.sprintf "seed %d: both crashes recovered" seed)
-      2 r2.Chaos.sr_restarts;
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: journal replay on restart" seed)
-      true
-      (r2.Chaos.sr_replayed > 0);
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: live shard fired during crash windows" seed)
-      true
-      (r2.Chaos.sr_live_during_crash > 0);
+        (Chaos.report_to_string r2);
+    (match r2.Chaos.outcome with
+    | Chaos.Sharded { restarts; replayed; live_during_crash; _ } ->
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: both crashes recovered" seed)
+        2 restarts;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: journal replay on restart" seed)
+        true (replayed > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: live shard fired during crash windows" seed)
+        true (live_during_crash > 0)
+    | _ -> Alcotest.fail "expected a sharded outcome");
     (* Byte determinism across layouts on every seed; repeated-run
        determinism spot-checked (each extra run re-executes the world). *)
     Alcotest.(check string)
       (Printf.sprintf "seed %d: report identical at 1 and 2 shards" seed)
-      (Chaos.shard_report_to_string (Chaos.run_sharded { spec with ss_shards = 1 }))
-      (Chaos.shard_report_to_string r2);
+      (Chaos.report_to_string (Chaos.run { spec with shards = 1 }))
+      (Chaos.report_to_string r2);
     if seed mod 5 = 0 then begin
       Alcotest.(check string)
         (Printf.sprintf "seed %d: report identical at 3 shards" seed)
-        (Chaos.shard_report_to_string r2)
-        (Chaos.shard_report_to_string (Chaos.run_sharded { spec with ss_shards = 3 }));
+        (Chaos.report_to_string r2)
+        (Chaos.report_to_string (Chaos.run { spec with shards = 3 }));
       Alcotest.(check string)
         (Printf.sprintf "seed %d: repeated run byte-identical" seed)
-        (Chaos.shard_report_to_string r2)
-        (Chaos.shard_report_to_string (Chaos.run_sharded { spec with ss_shards = 2 }))
+        (Chaos.report_to_string r2)
+        (Chaos.report_to_string (Chaos.run spec))
     end
   done
 
@@ -364,6 +504,17 @@ let () =
           Alcotest.test_case "journal replay" `Quick
             journal_replay_is_deterministic;
           Alcotest.test_case "chaos report" `Quick chaos_report_is_deterministic;
+        ] );
+      ( "spec",
+        [
+          Alcotest.test_case "validate refuses what cannot run" `Quick
+            validate_refuses_what_cannot_run;
+        ] );
+      ("pinned report", List.map pinned_report_case pinned_reports);
+      ( "bank",
+        [
+          Alcotest.test_case "crash-free schedules keep X <= Y" `Quick
+            crash_free_bank_schedules_pass;
         ] );
       ( "acceptance",
         [
