@@ -155,7 +155,6 @@ type change = Cset of Value.t | Cins | Cdel
 type t = {
   sim : Sim.t option;
   obs : Obs.t;
-  tick : float;
   mutable watchers : watcher list;  (* rev registration order *)
   by_item : watcher list ref Itbl.t;
   watched_bases : (string, unit) Hashtbl.t;
@@ -185,11 +184,14 @@ type t = {
   mutable wiped_families : family list;  (* families with down instances *)
 }
 
-let create ?sim ?(obs = Obs.noop) ?(tick = 1.0) () =
+(* Staleness re-evaluation period: the "poll period" in the κ + tick
+   detection bound. *)
+let tick = 1.0
+
+let create ?sim ?(obs = Obs.noop) () =
   {
     sim;
     obs;
-    tick;
     watchers = [];
     by_item = Itbl.create 64;
     watched_bases = Hashtbl.create 16;
@@ -692,7 +694,7 @@ let start_tick t =
   match t.sim with
   | Some sim when not t.ticking ->
     t.ticking <- true;
-    Sim.every sim ~period:t.tick
+    Sim.every sim ~period:tick
       (fun () ->
         let now = sync_to_now t in
         List.iter (fun fa -> refresh_family t fa ~now) (List.rev t.families))

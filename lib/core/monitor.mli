@@ -63,11 +63,11 @@ type violation = {
   vi_detail : string;
 }
 
-val create : ?sim:Cm_sim.Sim.t -> ?obs:Obs.t -> ?tick:float -> unit -> t
+val create : ?sim:Cm_sim.Sim.t -> ?obs:Obs.t -> unit -> t
 (** A fresh monitor.  [sim] enables the periodic staleness tick (period
-    [tick], default 1.0 s — the "poll period" of the κ + tick detection
-    bound); without it staleness is still re-evaluated on every relevant
-    event and on {!force_refresh}, but not on quiet passage of time.
+    1 s — the "poll period" of the κ + tick detection bound); without it
+    staleness is still re-evaluated on every relevant event and on
+    {!force_refresh}, but not on quiet passage of time.
     [obs] (default {!Obs.noop}) receives per-guarantee [monitor_holds]
     gauges, [monitor_violations] counters, per-copy [monitor_stale]
     gauges and [monitor_forced_refreshes] counters. *)

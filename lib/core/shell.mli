@@ -4,7 +4,8 @@
 
     - receives events from its CM-Translators and from its own periodic
       timers, records them in the global trace, and matches them against
-      the strategy rules whose LHS site it handles;
+      the strategy rules whose LHS site it handles — candidates come from
+      {!Cm_rule.Rule_index.select}, followed by template matching;
     - on a match, evaluates the LHS condition against {e local} data and
       forwards the binding environment to the shell of the rule's RHS
       site as a {!Msg.Fire} envelope (rule distribution by LHS site);
@@ -24,14 +25,6 @@
 
 type t
 
-type dispatch = Indexed | Naive
-(** How {!occurred} selects candidate rules for an event.  [Indexed]
-    (the default) consults the {!Cm_rule.Rule_index} discrimination
-    buckets — O(candidates) per event.  [Naive] is the pre-index linear
-    scan over every installed rule, retained as the oracle for the
-    differential test harness and the E15 benchmark.  Both produce the
-    same matches in the same order. *)
-
 type ctx = {
   ctx_sim : Cm_sim.Sim.t;
   ctx_net : Msg.t Cm_net.Net.t;
@@ -40,7 +33,6 @@ type ctx = {
   ctx_locator : Cm_rule.Item.locator;
   ctx_obs : Obs.t;
   ctx_journals : Journal.registry option;
-  ctx_dispatch : dispatch;
 }
 (** The per-system context every shell shares: simulation clock,
     network, optional reliable-delivery layer, global trace, item

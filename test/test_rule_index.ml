@@ -295,6 +295,45 @@ let base_discrimination () =
   Alcotest.(check int) "length counts every registration" 3
     (Rule_index.length index)
 
+(* E15's shape at its scale, which the random programs above never
+   reach: 32 sites x 256 rules in one index, every LHS named Upd over a
+   base of its own, and a stream of updates each followed by the
+   site-free Done event its rule chains — a miss on both paths. *)
+let e15_shape () =
+  let sites = 32 and per_site = 256 in
+  let site s = "s" ^ string_of_int s in
+  let base s k = Printf.sprintf "X%d_%d" s k in
+  let index = Rule_index.create () in
+  for s = 0 to sites - 1 do
+    for k = 0 to per_site - 1 do
+      let tpl = Template.make "Upd" [ Expr.Item (base s k, []); Expr.Var "v" ] in
+      Rule_index.add index ~lhs:tpl ~site:(Some (site s)) ((s * per_site) + k, tpl)
+    done
+  done;
+  let updates = 1024 in
+  let hits = ref 0 in
+  for i = 0 to updates - 1 do
+    let s = i mod sites and k = i / sites mod per_site in
+    let at = site s in
+    let upd =
+      { Event.name = "Upd";
+        args = [ Event.Ai (Item.make (base s k)); Event.Av (Value.Int i) ] }
+    in
+    let chained = { Event.name = "Done"; args = [ Event.Av (Value.Int i) ] } in
+    List.iter
+      (fun desc ->
+        check_case ~case:i index desc ~local_site:at ~event_site:at;
+        hits :=
+          !hits
+          + List.length
+              (matches_of
+                 (Rule_index.select index ~local_site:at ~event_site:at ~desc)
+                 desc))
+      [ upd; chained ]
+  done;
+  Alcotest.(check int) "each update hits its one rule, each Done misses" updates
+    !hits
+
 let () =
   Alcotest.run "rule_index"
     [
@@ -305,6 +344,8 @@ let () =
           Alcotest.test_case
             "epoch churn (remove + re-add rounds): indexed = naive" `Quick
             churn_differential_cases;
+          Alcotest.test_case "E15 shape, 32 sites x 256 rules: indexed = naive"
+            `Quick e15_shape;
         ] );
       ( "discrimination",
         [
