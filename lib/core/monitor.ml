@@ -101,21 +101,27 @@ type form =
   | F_metric of window
   | F_leq
 
+(* Everything a crash destroys: a new watcher and a wiped one get theirs
+   from the one constructor [fresh_mem]. *)
+type mem = {
+  lt : track;  (* left item *)
+  rt : track;  (* right item *)
+  form : form;
+  (* per-batch buffers *)
+  mutable left_takes : (float * Value.t) list;  (* rev order *)
+  mutable right_takes : (float * Value.t) list;  (* rev order *)
+}
+
 type watcher = {
   w_g : Guarantee.t;
   w_left : Item.t;  (* leader / smaller *)
   w_right : Item.t;  (* follower / larger *)
-  w_lt : track;
-  w_rt : track;
-  w_form : form;
+  mutable w_mem : mem;
   w_ignore_after : float option;  (* Leads only *)
   w_labels : (string * string) list;
   mutable w_points : int;
   mutable w_bad : int;
-  (* per-batch buffers *)
   mutable w_touched : bool;
-  mutable w_left_takes : (float * Value.t) list;  (* rev order *)
-  mutable w_right_takes : (float * Value.t) list;  (* rev order *)
   mutable w_down : bool;
       (* homed at a crashed site: volatile state wiped, live feed
          suspended until {!relearn} rebuilds it from the journal *)
@@ -131,9 +137,12 @@ type stale_state = {
   mutable ss_stale : bool;
 }
 
+let fresh_stale ~stale kappa =
+  { ss_window = fresh_window kappa; ss_track = fresh_track (); ss_stale = stale }
+
 type instance = {
   in_watchers : watcher list;  (* §3.3.1 order *)
-  in_stale : stale_state option;
+  mutable in_stale : stale_state option;
   mutable in_touched : bool;
   mutable in_down : bool;  (* mirrors its watchers' [w_down] *)
 }
@@ -248,29 +257,39 @@ let register_item t item w =
   | Some bucket -> bucket := w :: !bucket
   | None -> Itbl.replace t.by_item item (ref [ w ])
 
-let make_watcher t ?ignore_after g =
-  let left, right, form =
+let ends = function
+  | Guarantee.Follows p
+  | Guarantee.Leads p
+  | Guarantee.Strictly_follows p
+  | Guarantee.Metric_follows (p, _) ->
+    p.Guarantee.leader, p.Guarantee.follower
+  | Guarantee.Always_leq { smaller; larger } -> smaller, larger
+  | g ->
+    invalid_arg
+      (Printf.sprintf "Monitor.watch: %s is not an online-checkable form"
+         (Guarantee.name g))
+
+(* Only called on guarantees [ends] accepted. *)
+let fresh_mem g =
+  let form =
     match g with
-    | Guarantee.Follows { leader; follower } -> leader, follower, F_follows (Vtbl.create 16)
-    | Guarantee.Leads { leader; follower } -> leader, follower, F_leads { pending = [] }
-    | Guarantee.Strictly_follows { leader; follower } ->
-      leader, follower, F_strictly { remaining = Queue.create (); pend = Queue.create () }
-    | Guarantee.Metric_follows ({ leader; follower }, kappa) ->
-      leader, follower, F_metric (fresh_window kappa)
-    | Guarantee.Always_leq { smaller; larger } -> smaller, larger, F_leq
-    | g ->
-      invalid_arg
-        (Printf.sprintf "Monitor.watch: %s is not an online-checkable form"
-           (Guarantee.name g))
+    | Guarantee.Follows _ -> F_follows (Vtbl.create 16)
+    | Guarantee.Leads _ -> F_leads { pending = [] }
+    | Guarantee.Strictly_follows _ ->
+      F_strictly { remaining = Queue.create (); pend = Queue.create () }
+    | Guarantee.Metric_follows (_, kappa) -> F_metric (fresh_window kappa)
+    | _ -> F_leq
   in
+  { lt = fresh_track (); rt = fresh_track (); form; left_takes = []; right_takes = [] }
+
+let make_watcher t ?ignore_after g =
+  let left, right = ends g in
   let w =
     {
       w_g = g;
       w_left = left;
       w_right = right;
-      w_lt = fresh_track ();
-      w_rt = fresh_track ();
-      w_form = form;
+      w_mem = fresh_mem g;
       w_ignore_after = ignore_after;
       w_labels =
         [ ("guarantee", Guarantee.name g);
@@ -279,13 +298,11 @@ let make_watcher t ?ignore_after g =
       w_points = 0;
       w_bad = 0;
       w_touched = false;
-      w_left_takes = [];
-      w_right_takes = [];
       w_down = false;
     }
   in
   t.watchers <- w :: t.watchers;
-  (match form with
+  (match w.w_mem.form with
   | F_leq -> t.leqs <- w :: t.leqs
   | _ -> ());
   register_item t left w;
@@ -316,7 +333,7 @@ let seek_consume q y =
   end
 
 let eval_leq t w ~at =
-  match w.w_lt.cur, w.w_rt.cur with
+  match w.w_mem.lt.cur, w.w_mem.rt.cur with
   | Some a, Some b ->
     w.w_points <- w.w_points + 1;
     if not (Value.compare a b <= 0) then
@@ -325,34 +342,41 @@ let eval_leq t w ~at =
            (Value.to_string a) (Item.to_string w.w_right) (Value.to_string b))
   | _ -> ()
 
-let flush_watcher t w ~at =
+(* Stage 2 for one watcher.  A journal replay passes [~score:false]: its
+   instants were scored in the watcher's previous life, so takes only
+   move into the obligation state (leads pending, strictly queues) —
+   no points, no violations, no gauges. *)
+let flush_watcher t w ~at ~score =
   w.w_touched <- false;
-  let left_takes = List.rev w.w_left_takes in
-  let right_takes = List.rev w.w_right_takes in
-  w.w_left_takes <- [];
-  w.w_right_takes <- [];
-  (match w.w_form with
+  let mem = w.w_mem in
+  let left_takes = List.rev mem.left_takes in
+  let right_takes = List.rev mem.right_takes in
+  mem.left_takes <- [];
+  mem.right_takes <- [];
+  (match mem.form with
   | F_follows seen ->
-    List.iter
-      (fun (t1, y) ->
-        w.w_points <- w.w_points + 1;
-        if not (Vtbl.mem seen y) then
-          violate t w ~at
-            (Printf.sprintf "%s = %s at %.3f but %s never held it before"
-               (Item.to_string w.w_right) (Value.to_string y) t1
-               (Item.to_string w.w_left)))
-      right_takes
+    if score then
+      List.iter
+        (fun (t1, y) ->
+          w.w_points <- w.w_points + 1;
+          if not (Vtbl.mem seen y) then
+            violate t w ~at
+              (Printf.sprintf "%s = %s at %.3f but %s never held it before"
+                 (Item.to_string w.w_right) (Value.to_string y) t1
+                 (Item.to_string w.w_left)))
+        right_takes
   | F_metric window ->
     window_prune window ~now:at;
-    List.iter
-      (fun (t1, y) ->
-        w.w_points <- w.w_points + 1;
-        if not (window_holds window ~at:t1 y) then
-          violate t w ~at
-            (Printf.sprintf "%s = %s at %.3f but %s did not hold it within the last %gs"
-               (Item.to_string w.w_right) (Value.to_string y) t1
-               (Item.to_string w.w_left) window.wd_kappa))
-      right_takes
+    if score then
+      List.iter
+        (fun (t1, y) ->
+          w.w_points <- w.w_points + 1;
+          if not (window_holds window ~at:t1 y) then
+            violate t w ~at
+              (Printf.sprintf "%s = %s at %.3f but %s did not hold it within the last %gs"
+                 (Item.to_string w.w_right) (Value.to_string y) t1
+                 (Item.to_string w.w_left) window.wd_kappa))
+        right_takes
   | F_leads st ->
     List.iter
       (fun (t1, x) ->
@@ -360,17 +384,17 @@ let flush_watcher t w ~at =
           match w.w_ignore_after with None -> true | Some ia -> t1 <= ia
         in
         if in_scope then begin
-          w.w_points <- w.w_points + 1;
+          if score then w.w_points <- w.w_points + 1;
           st.pending <- (t1, x) :: st.pending
         end)
       left_takes;
-    if Obs.enabled t.obs then
+    if score && Obs.enabled t.obs then
       Obs.gauge t.obs "monitor_leads_pending" ~labels:w.w_labels
         (float_of_int (List.length st.pending))
   | F_strictly st ->
     List.iter
       (fun (t1, y) ->
-        w.w_points <- w.w_points + 1;
+        if score then w.w_points <- w.w_points + 1;
         Queue.add (t1, y) st.pend)
       right_takes;
     (* Resolve eagerly from the head: earlier waiting takes always match
@@ -394,37 +418,9 @@ let eval_stale ss ~now =
     window_prune ss.ss_window ~now;
     not (window_holds ss.ss_window ~at:now v)
 
-let refresh_family t fa ~now =
-  let stale = ref false in
-  Hashtbl.iter
-    (fun _ inst ->
-      match inst.in_stale with
-      | None -> ()
-      | Some ss ->
-        (* A down instance's verdict is frozen at its pre-crash value
-           until the journal relearn rebuilds the window. *)
-        if not inst.in_down then ss.ss_stale <- eval_stale ss ~now;
-        if ss.ss_stale then stale := true)
-    fa.fa_instances;
-  if !stale <> fa.fa_stale then begin
-    fa.fa_stale <- !stale;
-    if Obs.enabled t.obs then begin
-      let labels = [ ("source", fa.fa_source); ("target", fa.fa_target) ] in
-      Obs.gauge t.obs "monitor_stale" ~labels (if !stale then 1.0 else 0.0);
-      if !stale then Obs.incr t.obs "monitor_stale_transitions" ~labels
-    end;
-    List.iter
-      (fun f -> f ~source:fa.fa_source ~target:fa.fa_target ~at:now ~stale:!stale)
-      t.stale_subs
-  end
-
-let refresh_instance t fa inst ~now =
-  inst.in_touched <- false;
-  (match inst.in_stale with
-  | None -> ()
-  | Some ss -> ss.ss_stale <- eval_stale ss ~now);
-  (* Aggregate over the whole family, so one instance going fresh does
-     not mask another still stale. *)
+(* Aggregate over the whole family, so one instance going fresh does
+   not mask another still stale, and publish a transition. *)
+let publish_stale t fa ~now =
   let stale =
     Hashtbl.fold
       (fun _ i acc ->
@@ -443,7 +439,131 @@ let refresh_instance t fa inst ~now =
       t.stale_subs
   end
 
+let refresh_family t fa ~now =
+  Hashtbl.iter
+    (fun _ inst ->
+      match inst.in_stale with
+      (* A down instance's verdict is frozen at its pre-crash value until
+         the journal relearn rebuilds the window. *)
+      | Some ss when not inst.in_down -> ss.ss_stale <- eval_stale ss ~now
+      | _ -> ())
+    fa.fa_instances;
+  publish_stale t fa ~now
+
+let refresh_instance t fa inst ~now =
+  inst.in_touched <- false;
+  (match inst.in_stale with
+  | None -> ()
+  | Some ss -> ss.ss_stale <- eval_stale ss ~now);
+  publish_stale t fa ~now
+
 (* --- the batch engine --- *)
+
+let instance_key params = String.concat "," (List.map Value.to_string params)
+
+(* Stage 1: apply one state change of the instant.  [replay] selects who
+   hears it — the live feed serves the watchers and instances that are
+   up, a journal replay only those a crash took down — and [state] is
+   the table INS resolves against: the live [t.state], or the replay's
+   own, so that a replayed INS sees the replayed history and not the
+   live present. *)
+let apply t ~replay ~state ~at (item, change) =
+  let v =
+    match change with
+    | Cset v -> Some v
+    | Cdel -> None
+    | Cins ->
+      (* INS preserves a value only if the item currently exists —
+         the Timeline.of_trace convention. *)
+      Some (Option.value (Option.join (Itbl.find_opt state item)) ~default:Value.Null)
+  in
+  (match Itbl.find_opt t.by_item item with
+  | None -> ()
+  | Some bucket ->
+    Itbl.replace state item v;
+    List.iter
+      (fun w ->
+        if w.w_down = replay then begin
+          let mem = w.w_mem in
+          if not w.w_touched then begin
+            w.w_touched <- true;
+            t.touched <- w :: t.touched
+          end;
+          if Item.equal item w.w_left then begin
+            (match mem.form with
+            | F_follows seen -> (
+              match v with Some nv -> Vtbl.replace seen nv () | None -> ())
+            | F_metric window -> window_change window ~time:at v
+            | _ -> ());
+            match track_change mem.lt v with
+            | Some taken -> (
+              match mem.form with
+              | F_leads _ -> mem.left_takes <- (at, taken) :: mem.left_takes
+              | F_strictly st -> Queue.add taken st.remaining
+              | _ -> ())
+            | None -> ()
+          end;
+          if Item.equal item w.w_right then begin
+            (* Leads: a follower interval closing at [at] discharges
+               every pending take strictly before it (the fold's
+               [stop > t1]).  Same-value rewrites extend the interval
+               instead — equivalent for the final verdict, since the
+               merged interval closes later still. *)
+            (match mem.form with
+            | F_leads st -> (
+              match mem.rt.cur, v with
+              | Some ov, Some nv when Value.equal ov nv -> ()
+              | Some ov, _ ->
+                st.pending <-
+                  List.filter
+                    (fun (t1, x) -> not (Value.equal x ov && t1 < at))
+                    st.pending
+              | None, _ -> ())
+            | _ -> ());
+            match track_change mem.rt v with
+            | Some taken -> mem.right_takes <- (at, taken) :: mem.right_takes
+            | None -> ()
+          end
+        end)
+      !bucket);
+  match Hashtbl.find_opt t.by_base item.Item.base with
+  | None -> ()
+  | Some fams ->
+    let key = instance_key item.Item.params in
+    List.iter
+      (fun fa ->
+        match Hashtbl.find_opt fa.fa_instances key with
+        | Some inst when inst.in_down = replay -> (
+          (* A replay rebuilds the window silently: no staleness is
+             published until the instance is back up. *)
+          if (not replay) && not inst.in_touched then begin
+            inst.in_touched <- true;
+            t.touched_instances <- (fa, inst) :: t.touched_instances
+          end;
+          match inst.in_stale with
+          | None -> ()
+          | Some ss ->
+            if String.equal item.Item.base fa.fa_source then
+              window_change ss.ss_window ~time:at v;
+            if String.equal item.Item.base fa.fa_target then
+              ignore (track_change ss.ss_track v))
+        | _ -> ())
+      !fams
+
+(* Stage 1 then stage 2 for one instant's changes.  Stage 2 evaluates
+   the instant's obligations against the settled state — intra-instant
+   event order must not matter, as it does not for the fold. *)
+let run_batch t ~replay ~state ~at entries =
+  List.iter (apply t ~replay ~state ~at) entries;
+  List.iter (fun w -> flush_watcher t w ~at ~score:(not replay)) (List.rev t.touched);
+  t.touched <- [];
+  if not replay then begin
+    List.iter (fun w -> if not w.w_down then eval_leq t w ~at) t.leqs;
+    List.iter
+      (fun (fa, inst) -> refresh_instance t fa inst ~now:at)
+      (List.rev t.touched_instances);
+    t.touched_instances <- []
+  end
 
 let flush t =
   if t.have_batch then begin
@@ -459,108 +579,7 @@ let flush t =
       List.iter (fun w -> eval_leq t w ~at:0.0) t.leqs
     end;
     if at = 0.0 then t.did_zero <- true;
-    (* Stage 1: apply every state update of the instant. *)
-    List.iter
-      (fun (item, change) ->
-        let v =
-          match change with
-          | Cset v -> Some v
-          | Cdel -> None
-          | Cins ->
-            (* INS preserves a value only if the item currently exists —
-               the Timeline.of_trace convention. *)
-            Some
-              (Option.value
-                 (Option.join (Itbl.find_opt t.state item))
-                 ~default:Value.Null)
-        in
-        if Itbl.mem t.by_item item then Itbl.replace t.state item v;
-        (match Itbl.find_opt t.by_item item with
-        | None -> ()
-        | Some bucket ->
-          List.iter
-            (fun w ->
-              if w.w_down then ()  (* crashed site: its monitor is dead;
-                                      the journal relearn catches it up *)
-              else begin
-              if not w.w_touched then begin
-                w.w_touched <- true;
-                t.touched <- w :: t.touched
-              end;
-              if Item.equal item w.w_left then begin
-                (match w.w_form with
-                | F_follows seen -> (
-                  match v with Some nv -> Vtbl.replace seen nv () | None -> ())
-                | F_metric window -> window_change window ~time:at v
-                | _ -> ());
-                match track_change w.w_lt v with
-                | Some taken -> (
-                  match w.w_form with
-                  | F_leads _ -> w.w_left_takes <- (at, taken) :: w.w_left_takes
-                  | F_strictly st -> Queue.add taken st.remaining
-                  | _ -> ())
-                | None -> ()
-              end;
-              if Item.equal item w.w_right then begin
-                (* Leads: a follower interval closing at [at] discharges
-                   every pending take strictly before it (the fold's
-                   [stop > t1]).  Same-value rewrites extend the
-                   interval instead — equivalent for the final verdict,
-                   since the merged interval closes later still. *)
-                (match w.w_form with
-                | F_leads st -> (
-                  match w.w_rt.cur, v with
-                  | Some ov, Some nv when Value.equal ov nv -> ()
-                  | Some ov, _ ->
-                    st.pending <-
-                      List.filter
-                        (fun (t1, x) -> not (Value.equal x ov && t1 < at))
-                        st.pending
-                  | None, _ -> ())
-                | _ -> ());
-                match track_change w.w_rt v with
-                | Some taken -> w.w_right_takes <- (at, taken) :: w.w_right_takes
-                | None -> ()
-              end
-              end)
-            !bucket);
-        match Hashtbl.find_opt t.by_base item.Item.base with
-        | None -> ()
-        | Some fams ->
-          List.iter
-            (fun fa ->
-              match
-                Hashtbl.find_opt fa.fa_instances
-                  (String.concat "," (List.map Value.to_string item.Item.params))
-              with
-              | None -> ()
-              | Some inst when inst.in_down -> ()
-              | Some inst -> (
-                if not inst.in_touched then begin
-                  inst.in_touched <- true;
-                  t.touched_instances <- (fa, inst) :: t.touched_instances
-                end;
-                match inst.in_stale with
-                | None -> ()
-                | Some ss ->
-                  if String.equal item.Item.base fa.fa_source then
-                    window_change ss.ss_window ~time:at v;
-                  if String.equal item.Item.base fa.fa_target then
-                    ignore (track_change ss.ss_track v)))
-            !fams)
-      entries;
-    (* Stage 2: evaluate the instant's obligations against the settled
-       state — intra-instant event order must not matter, as it does not
-       for the fold. *)
-    List.iter
-      (fun w -> if not w.w_down then flush_watcher t w ~at)
-      (List.rev t.touched);
-    t.touched <- [];
-    List.iter (fun w -> if not w.w_down then eval_leq t w ~at) t.leqs;
-    List.iter
-      (fun (fa, inst) -> refresh_instance t fa inst ~now:at)
-      (List.rev t.touched_instances);
-    t.touched_instances <- []
+    run_batch t ~replay:false ~state:t.state ~at entries
   end
 
 (* Create family instances lazily at an item's first event; the new
@@ -569,38 +588,32 @@ let ensure_instances t item =
   match Hashtbl.find_opt t.by_base item.Item.base with
   | None -> ()
   | Some fams ->
+    let key = instance_key item.Item.params in
     List.iter
       (fun fa ->
-        let key = String.concat "," (List.map Value.to_string item.Item.params) in
         if not (Hashtbl.mem fa.fa_instances key) then begin
-          let source = Item.make fa.fa_source ~params:item.Item.params in
-          let target = Item.make fa.fa_target ~params:item.Item.params in
-          let pair = { Guarantee.leader = source; follower = target } in
           let forms =
-            [ Guarantee.Follows pair; Guarantee.Leads pair;
-              Guarantee.Strictly_follows pair ]
-            @
-            match fa.fa_kappa with
-            | Some kappa -> [ Guarantee.Metric_follows (pair, kappa) ]
-            | None -> []
+            Guarantee.for_copy_constraint
+              ~source:(Item.make fa.fa_source ~params:item.Item.params)
+              ~target:(Item.make fa.fa_target ~params:item.Item.params)
+              ~kappa:(Option.value fa.fa_kappa ~default:0.0)
           in
-          let watchers = List.map (fun g -> make_watcher t g) forms in
-          let stale =
-            Option.map
-              (fun kappa ->
-                { ss_window = fresh_window kappa;
-                  ss_track = fresh_track ();
-                  ss_stale = false })
-              fa.fa_kappa
+          (* Metric-follows only under a proved κ. *)
+          let forms =
+            if fa.fa_kappa = None then
+              List.filter (fun g -> not (Guarantee.is_metric g)) forms
+            else forms
           in
           Hashtbl.replace fa.fa_instances key
-            { in_watchers = watchers; in_stale = stale; in_touched = false;
+            { in_watchers = List.map (fun g -> make_watcher t g) forms;
+              in_stale = Option.map (fresh_stale ~stale:false) fa.fa_kappa;
+              in_touched = false;
               in_down = false };
           fa.fa_order <- key :: fa.fa_order
         end)
       !fams
 
-let push_change t ~time item change =
+let push_change t ~time entry =
   if t.finalized then invalid_arg "Monitor: feed after finalize";
   if time < t.batch_time then
     invalid_arg
@@ -608,7 +621,18 @@ let push_change t ~time item change =
   if t.have_batch && time > t.batch_time then flush t;
   t.batch_time <- time;
   t.have_batch <- true;
-  t.batch <- (item, change) :: t.batch
+  t.batch <- entry :: t.batch
+
+(* The state-changing event shapes: [Event.written_value] plus INS/DEL —
+   the [Timeline.of_trace] vocabulary.  The live feed and the journal
+   replay both read events through here. *)
+let decode (e : Event.t) =
+  match e.desc.Event.name, e.desc.Event.args with
+  | "W", [ Event.Ai item; Event.Av v ] | "Ws", [ Event.Ai item; _; Event.Av v ] ->
+    Some (item, Cset v)
+  | "INS", [ Event.Ai item ] -> Some (item, Cins)
+  | "DEL", [ Event.Ai item ] -> Some (item, Cdel)
+  | _ -> None
 
 (* An unwatched item still marks an always-leq sample point (the fold
    samples at every global change time), but otherwise costs one
@@ -636,24 +660,17 @@ let admitted t item =
 
 let feed t (e : Event.t) =
   (* Cheap reject first: most events (N, RR, fires, chains) change no
-     item state and must cost almost nothing with monitors on.  The
-     state-changing shapes mirror [Event.written_value] plus INS/DEL —
-     the [Timeline.of_trace] vocabulary. *)
-  match e.Event.desc.Event.name, e.Event.desc.Event.args with
-  | "W", [ Event.Ai item; Event.Av v ] | "Ws", [ Event.Ai item; _; Event.Av v ]
-    ->
-    if admitted t item then push_change t ~time:e.Event.time item (Cset v)
-  | "INS", [ Event.Ai item ] ->
-    if admitted t item then push_change t ~time:e.Event.time item Cins
-  | "DEL", [ Event.Ai item ] ->
-    if admitted t item then push_change t ~time:e.Event.time item Cdel
-  | _ -> ()
+     item state and must cost almost nothing with monitors on. *)
+  match decode e with
+  | Some ((item, _) as entry) ->
+    if admitted t item then push_change t ~time:e.Event.time entry
+  | None -> ()
 
 let note_initial t bindings =
   List.iter
     (fun (item, v) ->
       ensure_instances t item;
-      push_change t ~time:0.0 item (Cset v))
+      push_change t ~time:0.0 (item, Cset v))
     bindings
 
 let attach t trace = Trace.on_record trace (fun e -> feed t e)
@@ -738,8 +755,8 @@ let watched_copies t =
    whose monitored (right-hand) item lives at the crashed site loses its
    tracks, value sets, pending obligations and κ windows, and stops
    consuming the live feed.  [relearn] is the §5 recovery step: the
-   journaled event history is replayed through the wiped watchers'
-   state machines only — silently, without re-evaluating obligations
+   journaled event history is replayed through the batch engine for the
+   wiped watchers only — silently, without re-evaluating obligations
    (those instants were checked in the previous life; re-learning must
    rebuild knowledge, not re-report or double-count) — after which the
    live feed resumes.  An obligation that was pending at the crash
@@ -747,31 +764,15 @@ let watched_copies t =
    restored and still fails at finalize if never discharged: a crash
    between a violation and its detection does not bury it. *)
 
-let wipe_watcher w =
-  w.w_lt.cur <- None;
-  w.w_lt.last_taken <- None;
-  w.w_rt.cur <- None;
-  w.w_rt.last_taken <- None;
-  w.w_left_takes <- [];
-  w.w_right_takes <- [];
-  (match w.w_form with
-  | F_follows seen -> Vtbl.reset seen
-  | F_leads st -> st.pending <- []
-  | F_strictly st ->
-    Queue.clear st.remaining;
-    Queue.clear st.pend
-  | F_metric wd ->
-    wd.wd_open <- None;
-    wd.wd_closed <- []
-  | F_leq -> ());
-  w.w_down <- true
-
 let crash_wipe t ~owns =
+  (* The open instant happened while every watcher was still up. *)
+  flush t;
   let n = ref 0 in
   List.iter
     (fun w ->
       if (not w.w_down) && owns w.w_right then begin
-        wipe_watcher w;
+        w.w_mem <- fresh_mem w.w_g;
+        w.w_down <- true;
         incr n
       end)
     t.watchers;
@@ -786,13 +787,10 @@ let crash_wipe t ~owns =
           then begin
             touched := true;
             inst.in_down <- true;
-            match inst.in_stale with
-            | Some ss ->
-              ss.ss_window.wd_open <- None;
-              ss.ss_window.wd_closed <- [];
-              ss.ss_track.cur <- None;
-              ss.ss_track.last_taken <- None
-            | None -> ()
+            inst.in_stale <-
+              Option.map
+                (fun ss -> fresh_stale ~stale:ss.ss_stale ss.ss_window.wd_kappa)
+                inst.in_stale
           end)
         fa.fa_instances;
       if !touched && not (List.memq fa t.wiped_families) then
@@ -800,140 +798,29 @@ let crash_wipe t ~owns =
     t.families;
   !n
 
-(* The silent counterpart of [flush_watcher]: takes move into the
-   obligation state (leads pending, strictly queues) with no points, no
-   violations, no gauges. *)
-let relearn_flush w =
-  let left_takes = List.rev w.w_left_takes in
-  let right_takes = List.rev w.w_right_takes in
-  w.w_left_takes <- [];
-  w.w_right_takes <- [];
-  match w.w_form with
-  | F_leads st ->
-    List.iter
-      (fun (t1, x) ->
-        let in_scope =
-          match w.w_ignore_after with None -> true | Some ia -> t1 <= ia
-        in
-        if in_scope then st.pending <- (t1, x) :: st.pending)
-      left_takes
-  | F_strictly st ->
-    List.iter (fun (t1, y) -> Queue.add (t1, y) st.pend) right_takes;
-    let continue = ref true in
-    while !continue && not (Queue.is_empty st.pend) do
-      let _, y = Queue.peek st.pend in
-      if seek_consume st.remaining y then ignore (Queue.pop st.pend)
-      else continue := false
-    done
-  | F_follows _ | F_metric _ | F_leq -> ()
-
-(* Stage-1 state update for one historical change, applied to down
-   watchers only.  Mirrors [flush]'s update logic; the shared [state]
-   table is deliberately untouched (it reflects the live feed, which
-   never stopped). *)
-let relearn_apply t ~at (item, change) =
-  let v =
-    match change with
-    | Cset v -> Some v
-    | Cdel -> None
-    | Cins ->
-      Some
-        (Option.value (Option.join (Itbl.find_opt t.state item)) ~default:Value.Null)
-  in
-  (match Itbl.find_opt t.by_item item with
-  | None -> ()
-  | Some bucket ->
-    List.iter
-      (fun w ->
-        if w.w_down then begin
-          if Item.equal item w.w_left then begin
-            (match w.w_form with
-            | F_follows seen -> (
-              match v with Some nv -> Vtbl.replace seen nv () | None -> ())
-            | F_metric window -> window_change window ~time:at v
-            | _ -> ());
-            match track_change w.w_lt v with
-            | Some taken -> (
-              match w.w_form with
-              | F_leads _ -> w.w_left_takes <- (at, taken) :: w.w_left_takes
-              | F_strictly st -> Queue.add taken st.remaining
-              | _ -> ())
-            | None -> ()
-          end;
-          if Item.equal item w.w_right then begin
-            (match w.w_form with
-            | F_leads st -> (
-              match w.w_rt.cur, v with
-              | Some ov, Some nv when Value.equal ov nv -> ()
-              | Some ov, _ ->
-                st.pending <-
-                  List.filter
-                    (fun (t1, x) -> not (Value.equal x ov && t1 < at))
-                    st.pending
-              | None, _ -> ())
-            | _ -> ());
-            match track_change w.w_rt v with
-            | Some taken -> w.w_right_takes <- (at, taken) :: w.w_right_takes
-            | None -> ()
-          end
-        end)
-      !bucket);
-  match Hashtbl.find_opt t.by_base item.Item.base with
-  | None -> ()
-  | Some fams ->
-    List.iter
-      (fun fa ->
-        if List.memq fa t.wiped_families then
-          match
-            Hashtbl.find_opt fa.fa_instances
-              (String.concat "," (List.map Value.to_string item.Item.params))
-          with
-          | Some ({ in_stale = Some ss; _ } as inst) when inst.in_down ->
-            if String.equal item.Item.base fa.fa_source then
-              window_change ss.ss_window ~time:at v;
-            if String.equal item.Item.base fa.fa_target then
-              ignore (track_change ss.ss_track v)
-          | _ -> ())
-      !fams
-
 let relearn t events =
   if t.finalized then invalid_arg "Monitor.relearn: already finalized";
   let down = List.filter (fun w -> w.w_down) t.watchers in
   if down <> [] then begin
-    let events =
-      List.stable_sort
-        (fun (a : Event.t) (b : Event.t) -> Float.compare a.time b.time)
-        events
-    in
+    let state = Itbl.create 64 in
     (* Per-instant micro-batches, like the live feed. *)
-    let pending = ref [] in
-    let pending_at = ref 0.0 in
-    let flush_pending () =
-      if !pending <> [] then begin
-        List.iter (relearn_apply t ~at:!pending_at) (List.rev !pending);
-        List.iter relearn_flush down;
-        pending := []
+    let batch = ref [] and batch_at = ref 0.0 in
+    let close () =
+      if !batch <> [] then begin
+        run_batch t ~replay:true ~state ~at:!batch_at (List.rev !batch);
+        batch := []
       end
     in
     List.iter
       (fun (e : Event.t) ->
-        match e.desc.Event.name, e.desc.Event.args with
-        | "W", [ Event.Ai item; Event.Av v ]
-        | "Ws", [ Event.Ai item; _; Event.Av v ] ->
-          if e.time > !pending_at then flush_pending ();
-          pending_at := e.time;
-          pending := (item, Cset v) :: !pending
-        | "INS", [ Event.Ai item ] ->
-          if e.time > !pending_at then flush_pending ();
-          pending_at := e.time;
-          pending := (item, Cins) :: !pending
-        | "DEL", [ Event.Ai item ] ->
-          if e.time > !pending_at then flush_pending ();
-          pending_at := e.time;
-          pending := (item, Cdel) :: !pending
-        | _ -> ())
-      events;
-    flush_pending ();
+        match decode e with
+        | Some entry ->
+          if e.time > !batch_at then close ();
+          batch_at := e.time;
+          batch := entry :: !batch
+        | None -> ())
+      (List.stable_sort (fun (a : Event.t) b -> Float.compare a.time b.time) events);
+    close ();
     List.iter (fun w -> w.w_down <- false) down;
     let now = now_of t in
     List.iter
@@ -959,11 +846,11 @@ let finalize t ~horizon =
     end;
     List.iter
       (fun w ->
-        match w.w_form with
+        match w.w_mem.form with
         | F_leads st ->
           (* The fold's final follower interval stops at the horizon:
              discharge what it covers, fail the rest in take order. *)
-          let open_v = w.w_rt.cur in
+          let open_v = w.w_mem.rt.cur in
           let residual =
             List.filter
               (fun (t1, x) ->

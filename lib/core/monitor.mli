@@ -128,9 +128,11 @@ val force_refresh : t -> source:string -> target:string -> bool
     return the refreshed verdict — [true] = still stale. *)
 
 val crash_wipe : t -> owns:(Cm_rule.Item.t -> bool) -> int
-(** Model a site crash: monitor state is volatile, so every watcher
+(** Model a site crash.  The open same-instant batch is applied first,
+    to every watcher: those events happened while all of them were
+    still up.  Monitor state is volatile, so every watcher
     homed at the crashed site (its follower/right item satisfies
-    [owns]) loses its in-memory state — value tracks, metric windows,
+    [owns]) then loses its in-memory state — value tracks, metric windows,
     pending leads obligations, strictly queues — and stops hearing the
     live feed.  Copy-family instances whose watchers went down freeze
     their staleness verdict until recovery.  Returns the number of
@@ -145,7 +147,12 @@ val relearn : t -> Cm_rule.Event.t list -> unit
     state *silently* — no points are scored, no violations reported, no
     staleness transitions published during the replay, because the
     surviving watchers already observed (and reported on) this history
-    live.  What the replay restores is the *obligations*: a leads
+    live.  The replay runs the live feed's batch engine, and a replayed
+    INS resolves against the replayed history (the item's value at that
+    point of the replay), not against the live current value.  Pass the
+    history from its start: values set outside it (e.g. by
+    {!note_initial}) are unknown to the replay unless passed as [W]
+    events at time 0.  What the replay restores is the *obligations*: a leads
     trigger journaled before the crash re-enters the pending set, so a
     violation that occurred before the crash but whose detection
     deadline falls after it is still reported at {!finalize} — the

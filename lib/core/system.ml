@@ -314,9 +314,10 @@ let crash_site t ~site =
   | None -> Net.crash_site t.net ~site
 
 (* The restarted site's monitor watchers relearn their state from the
-   journaled event history — every site's journal, merged by time, so
-   cross-site guarantees (the common case: leader and follower live on
-   different sites) see the leader's writes too. *)
+   journaled event history — every site's journal, which
+   [Monitor.relearn] merges stably by time, so cross-site guarantees (the
+   common case: leader and follower live on different sites) see the
+   leader's writes too. *)
 let relearn_monitor t m =
   match t.journals with
   | None -> ()
@@ -335,7 +336,7 @@ let relearn_monitor t m =
             (Journal.records (Journal.for_site reg ~site)))
         (Journal.sites reg)
     in
-    Monitor.relearn m (List.stable_sort (fun a b -> compare a.Event.time b.Event.time) events)
+    Monitor.relearn m events
 
 let restart_site t ~site =
   (match t.recovery with

@@ -59,9 +59,18 @@ let forms ~leader ~follower =
     Guarantee.Always_leq { smaller = leader; larger = follower };
   ]
 
+(* A crash run's site: the follower side of every y and qx watcher. *)
+let owns_y_or_qx item =
+  String.equal item.Item.base "y" || String.equal item.Item.base "qx"
+
 (* Feed one trace through watchers for every form over every ordered
-   base pair, finalize, and compare each verdict against the fold. *)
-let differential_one ~seed ~n ~with_initial ~ignore_after () =
+   base pair, finalize, and compare each verdict against the fold.
+   With [~crash], the feed stops at an instant boundary near the middle
+   of the trace, the y and qx watchers are wiped, relearned from the
+   history so far (initial values included) and the rest is fed live:
+   the verdicts must still equal the fold over the uninterrupted
+   trace. *)
+let differential_one ~crash ~seed ~n ~with_initial ~ignore_after () =
   let rng = Prng.create ~seed in
   let events = random_events rng ~n in
   let horizon =
@@ -92,18 +101,45 @@ let differential_one ~seed ~n ~with_initial ~ignore_after () =
           [ "x"; "y"; "qx" ])
       [ "x"; "y"; "qx" ]
   in
+  (* One copy family too, so a crash also wipes and relearns a family
+     instance (its watchers take no [ignore_after]). *)
+  Monitor.watch_copy m ~source:"x" ~target:"y" ~kappa:(Some 3.0);
   if initial <> [] then Monitor.note_initial m initial;
-  List.iter
-    (fun (time, desc) -> ignore (Trace.record trace ~time ~site:"s" desc))
-    events;
+  let record (time, desc) = ignore (Trace.record trace ~time ~site:"s" desc) in
+  (if not crash then List.iter record events
+   else begin
+     (* The first instant boundary at or after the middle. *)
+     let times = Array.of_list (List.map fst events) in
+     let cut = ref (max 1 (n / 2)) in
+     while !cut < n && times.(!cut) = times.(!cut - 1) do
+       incr cut
+     done;
+     List.iteri (fun i e -> if i < !cut then record e) events;
+     ignore (Monitor.crash_wipe m ~owns:owns_y_or_qx);
+     let initial_events =
+       List.map
+         (fun (item, v) ->
+           { Event.id = 0; time = 0.0; site = "s"; desc = Event.w item v;
+             kind = Event.Spontaneous })
+         initial
+     in
+     Monitor.relearn m (initial_events @ Trace.events trace);
+     List.iteri (fun i e -> if i >= !cut then record e) events
+   end);
   Monitor.finalize m ~horizon;
   let tl = Timeline.of_trace ~initial trace in
+  let family =
+    List.map
+      (fun (g, v) -> (g, None, v))
+      (Monitor.family_verdicts m ~source:"x" ~target:"y")
+  in
   List.iter
-    (fun (g, handle) ->
-      let v = Monitor.verdict handle in
+    (fun (g, ignore_after, v) ->
       let rep = Guarantee.check ?ignore_after ~horizon tl g in
       let label =
-        Printf.sprintf "seed %d %s" seed (Guarantee.to_string g)
+        Printf.sprintf "seed %d%s %s" seed
+          (if crash then " crash" else "")
+          (Guarantee.to_string g)
       in
       Alcotest.(check bool) (label ^ ": holds") rep.Guarantee.holds
         v.Monitor.v_holds;
@@ -113,18 +149,27 @@ let differential_one ~seed ~n ~with_initial ~ignore_after () =
         (label ^ ": violations consistent")
         (not rep.Guarantee.holds)
         (v.Monitor.v_violations > 0))
-    watched
+    (List.map (fun (g, h) -> (g, ignore_after, Monitor.verdict h)) watched
+    @ family)
 
 let differential_sweep () =
   for seed = 1 to 150 do
-    differential_one ~seed ~n:60 ~with_initial:(seed mod 2 = 0)
+    differential_one ~crash:false ~seed ~n:60 ~with_initial:(seed mod 2 = 0)
+      ~ignore_after:(seed mod 3 = 0) ()
+  done
+
+(* A crash and journal relearn in the middle of the trace must not move
+   any verdict away from the fold's. *)
+let differential_crash_sweep () =
+  for seed = 1 to 200 do
+    differential_one ~crash:true ~seed ~n:60 ~with_initial:(seed mod 2 = 0)
       ~ignore_after:(seed mod 3 = 0) ()
   done
 
 (* Longer traces stress state pruning (κ windows, leads discharge). *)
 let differential_long () =
   for seed = 500 to 520 do
-    differential_one ~seed ~n:400 ~with_initial:(seed mod 2 = 0)
+    differential_one ~crash:false ~seed ~n:400 ~with_initial:(seed mod 2 = 0)
       ~ignore_after:false ()
   done
 
@@ -132,7 +177,7 @@ let differential_long () =
    verdicts (always-leq still samples the 0.0 point when initial values
    exist). *)
 let differential_empty () =
-  differential_one ~seed:9999 ~n:0 ~with_initial:true ~ignore_after:false ()
+  differential_one ~crash:false ~seed:9999 ~n:0 ~with_initial:true ~ignore_after:false ()
 
 (* ---- violation stream --------------------------------------------- *)
 
@@ -367,6 +412,39 @@ let relearned_obligation_discharges_live () =
   Alcotest.(check bool) "discharged after recovery" true v.Monitor.v_holds;
   Alcotest.(check int) "no violations" 0 v.Monitor.v_violations
 
+(* A replayed INS resolves against the replayed history, not against
+   the live present: x is inserted absent at 1 (it takes Null, which y
+   never reflects), then written 5 at 2; y takes 5 at 3 and crashes with
+   that instant still open.  The fold fails the Null take; so must the
+   relearned monitor. *)
+let crash_replayed_ins_sees_its_own_history () =
+  let x = Item.make "x" and y = Item.make "y" in
+  let g = Guarantee.Leads { leader = x; follower = y } in
+  let history =
+    [
+      ev 0 1.0 (Event.ins x);
+      ev 1 2.0 (Event.w x (Value.Int 5));
+      ev 2 3.0 (Event.w y (Value.Int 5));
+    ]
+  in
+  let m = Monitor.create () in
+  let h = Monitor.watch m g in
+  List.iter (Monitor.feed m) history;
+  ignore (Monitor.crash_wipe m ~owns:owns_y);
+  Monitor.relearn m history;
+  Monitor.finalize m ~horizon:10.0;
+  let trace = Trace.create () in
+  List.iter
+    (fun (e : Event.t) ->
+      ignore (Trace.record trace ~time:e.time ~site:e.site e.desc))
+    history;
+  let rep = Guarantee.check ~horizon:10.0 (Timeline.of_trace trace) g in
+  let v = Monitor.verdict h in
+  Alcotest.(check bool) "the fold fails the Null take" false rep.Guarantee.holds;
+  Alcotest.(check bool) "holds" rep.Guarantee.holds v.Monitor.v_holds;
+  Alcotest.(check int) "points" rep.Guarantee.checked_points v.Monitor.v_points;
+  Alcotest.(check int) "one violation" 1 v.Monitor.v_violations
+
 (* End-to-end through the system: a durable payroll world where the
    target site crashes before an in-flight propagation arrives (no
    reliable layer, so the fire is genuinely lost).  The source's write
@@ -442,6 +520,8 @@ let () =
             differential_sweep;
           Alcotest.test_case "long traces" `Quick differential_long;
           Alcotest.test_case "empty trace" `Quick differential_empty;
+          Alcotest.test_case "200 random traces, crash and relearn" `Quick
+            differential_crash_sweep;
         ] );
       ( "violations",
         [
@@ -467,6 +547,8 @@ let () =
             relearn_rebuilds_without_double_count;
           Alcotest.test_case "relearned obligation discharges" `Quick
             relearned_obligation_discharges_live;
+          Alcotest.test_case "replayed INS sees the replayed history" `Quick
+            crash_replayed_ins_sees_its_own_history;
           Alcotest.test_case "system-level lost propagation" `Quick
             system_crash_between_violation_and_detection;
         ] );
