@@ -11,7 +11,8 @@
    Usage:  dune exec bench/main.exe                 (all experiments + micro)
            dune exec bench/main.exe -- --exp e4     (one experiment)
            dune exec bench/main.exe -- --no-micro   (skip Bechamel)
-           dune exec bench/main.exe -- --smoke      (reduced E15/E17/E19/E20 sweeps) *)
+           dune exec bench/main.exe -- --smoke      (reduced E15/E17/E19/E20 sweeps)
+           dune exec bench/main.exe -- --exp e20-setup  (E20's setup-scaling gate only) *)
 
 open Cm_rule
 module Sim = Cm_sim.Sim
@@ -1968,8 +1969,11 @@ let exp_e19 () =
    layout — so the canonical trace digest must match the 1-shard run
    bit for bit while wall-clock drops with domains. *)
 
-let e20_run ~sites ~constraints ~events ~rate ~shards =
-  assert (sites mod shards = 0);
+(* The E20 ring world: [sites] shells on [shards] fabric shards, then the
+   ring program installed in one call.  The two setup steps are timed
+   and their allocation counted separately; building the rule values is
+   neither. *)
+let e20_world ~sites ~constraints ~shards =
   let config =
     Sys_.Config.(
       seeded 2000 |> with_shards shards
@@ -1979,31 +1983,42 @@ let e20_run ~sites ~constraints ~events ~rate ~shards =
     Fabric.create ~config ~assign:(fun site -> Grid.index_of_site site mod shards)
       Grid.locator
   in
-  let shells =
-    Array.init sites (fun s -> Fabric.add_shell fab ~site:(Grid.site_of s))
+  let shells, add_shell =
+    Harness.measure (fun () ->
+        Array.init sites (fun s -> Fabric.add_shell fab ~site:(Grid.site_of s)))
   in
-  Fabric.install fab
-    {
-      Strategy.strategy_name = "e20-ring";
-      description = "cross-site propagation ring";
-      rules =
-        Grid.program ~sites ~constraints (fun s k ->
-            Rule.make
-              ~id:(Printf.sprintf "r%d_%d" s k)
-              ~delta:5.0
-              ~lhs:(Template.make "U" [ Expr.Item (Grid.base_of s k, []); Expr.Var "v" ])
-              (Rule.Steps
-                 [
-                   {
-                     Rule.guard = Expr.Const (Value.Bool true);
-                     template =
-                       Template.make "W"
-                         [ Expr.Item (Grid.base_of ((s + 1) mod sites) k, []);
-                           Expr.Var "v" ];
-                   };
-                 ]));
-      aux_init = [];
-    };
+  let rules =
+    Grid.program ~sites ~constraints (fun s k ->
+        Rule.make
+          ~id:(Printf.sprintf "r%d_%d" s k)
+          ~delta:5.0
+          ~lhs:(Template.make "U" [ Expr.Item (Grid.base_of s k, []); Expr.Var "v" ])
+          (Rule.Steps
+             [
+               {
+                 Rule.guard = Expr.Const (Value.Bool true);
+                 template =
+                   Template.make "W"
+                     [ Expr.Item (Grid.base_of ((s + 1) mod sites) k, []);
+                       Expr.Var "v" ];
+               };
+             ]))
+  in
+  let (), install =
+    Harness.measure (fun () ->
+        Fabric.install fab
+          {
+            Strategy.strategy_name = "e20-ring";
+            description = "cross-site propagation ring";
+            rules;
+            aux_init = [];
+          })
+  in
+  (fab, shells, add_shell, install)
+
+let e20_run ~sites ~constraints ~events ~rate ~shards =
+  assert (sites mod shards = 0);
+  let fab, shells, _, _ = e20_world ~sites ~constraints ~shards in
   let emitters =
     Array.init sites (fun s -> Shell.emitter_for shells.(s) ~site:(Grid.site_of s))
   in
@@ -2035,7 +2050,65 @@ let e20_run ~sites ~constraints ~events ~rate ~shards =
   ( (Fabric.events_processed fab, Fabric.trace_digest fab, Fabric.messages_forwarded fab),
     sample )
 
-let exp_e20 () =
+(* E20 setup scaling: assembling the ring (add_shell for every site,
+   then one install of the whole program) must cost the same per rule
+   from 10^3 to 10^6 rules.  Words allocated by install are a pure
+   function of the program for a fixed binary, so their growth is the
+   hard gate; seconds per rule are reported, never gated. *)
+let exp_e20_setup () =
+  let points =
+    [ (32, 32); (100, 100); (316, 316) ] @ if !smoke_mode then [] else [ (1024, 1024) ]
+  in
+  let table =
+    Table.create ~title:"E20 setup scaling: ring assembly, one shard, median of 3 builds"
+      ~columns:
+        [ "sites"; "rules/site"; "rules"; "add_shell s"; "install s"; "add_shell us/rule";
+          "install us/rule"; "install words/rule" ]
+  in
+  let obs = Obs.create () in
+  let rows =
+    List.map
+      (fun (sites, constraints) ->
+        let samples =
+          List.init 3 (fun _ ->
+              Gc.compact ();
+              let _, _, add, install = e20_world ~sites ~constraints ~shards:1 in
+              (add, install))
+        in
+        let rules = float_of_int (sites * constraints) in
+        let median f = (Harness.spread (List.map f samples)).Harness.median in
+        let add_s = median (fun (a, _) -> a.Harness.seconds) in
+        let install_s = median (fun (_, i) -> i.Harness.seconds) in
+        let words = median (fun (_, i) -> i.Harness.words) /. rules in
+        let labels = [ ("rules", Printf.sprintf "%.0f" rules) ] in
+        Obs.gauge obs "e20_setup_add_shell_seconds" ~labels add_s;
+        Obs.gauge obs "e20_setup_install_seconds" ~labels install_s;
+        Obs.gauge obs "e20_setup_install_words_per_rule" ~labels words;
+        Table.add_row table
+          [ string_of_int sites; string_of_int constraints; Printf.sprintf "%.0f" rules;
+            Printf.sprintf "%.4f" add_s; Printf.sprintf "%.4f" install_s;
+            Printf.sprintf "%.3f" (add_s /. rules *. 1e6);
+            Printf.sprintf "%.3f" (install_s /. rules *. 1e6); Printf.sprintf "%.1f" words ];
+        ((add_s +. install_s) /. rules, words))
+      points
+  in
+  record_snapshot "e20-setup" obs;
+  Table.print table;
+  let first_s, first_w = List.hd rows and last_s, last_w = List.hd (List.rev rows) in
+  let growth = last_w /. first_w in
+  Printf.printf
+    "Gate: install words/rule grows %.2fx from the smallest to the largest ring \
+     (fails above 2x).\n"
+    growth;
+  Printf.printf
+    "Shape check (informational, wall clock): setup seconds/rule flat within 2x: %s \
+     (%.2fx)\n"
+    (if last_s /. first_s <= 2.0 then "yes" else "NO")
+    (last_s /. first_s);
+  if growth > 2.0 then
+    failwith (Printf.sprintf "E20 setup: install words/rule grew %.2fx (> 2x)" growth)
+
+let exp_e20_domains () =
   let sites, constraints, events, rate =
     if !smoke_mode then (64, 16, 4_000, 200.0) else (1024, 1024, 50_000, 200.0)
   in
@@ -2106,7 +2179,8 @@ let exp_e20 () =
   in
   Printf.printf
     "Digest check: every run at every shard count reproduced the 1-shard \
-     canonical trace.\n";
+     canonical trace %s.\n"
+    d1;
   match List.assoc_opt 8 speedups with
   | Some s8 when cores >= 8 ->
     Printf.printf
@@ -2120,6 +2194,10 @@ let exp_e20 () =
        recommends %d domain(s); best observed %s at %d shards.\n"
       cores
       (Harness.show "%.2fx" best) best_shards
+
+let exp_e20 () =
+  exp_e20_setup ();
+  exp_e20_domains ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -2162,10 +2240,11 @@ let () =
   smoke_mode := List.mem "--smoke" args;
   (match wanted with
    | Some name -> (
-     match List.assoc_opt name experiments with
+     (* e20-setup runs E20's setup-scaling part alone (the CI gate). *)
+     match List.assoc_opt name (("e20-setup", exp_e20_setup) :: experiments) with
      | Some f -> f ()
      | None ->
-       Printf.eprintf "unknown experiment %s (e1..e20)\n" name;
+       Printf.eprintf "unknown experiment %s (e1..e20, e20-setup)\n" name;
        exit 1)
    | None ->
      List.iter

@@ -263,31 +263,18 @@ let stale_rejections t =
     (fun acc (_, shell) -> acc + Shell.stale_epoch_rejections shell)
     0 (System.shells t.system)
 
-let duplicate_rule_id rules =
-  let seen = Hashtbl.create 8 in
-  List.fold_left
-    (fun acc r ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        if Hashtbl.mem seen r.Rule.id then Some r.Rule.id
-        else begin
-          Hashtbl.replace seen r.Rule.id ();
-          None
-        end)
-    None rules
-
 let propose t (strategy : Strategy.t) =
   match t.proposed with
   | Some (n, _) -> Error (Printf.sprintf "epoch %d is already proposed" n)
   | None -> (
-    match duplicate_rule_id strategy.Strategy.rules with
+    match Rule.duplicate_id strategy.Strategy.rules with
     | Some id -> Error ("duplicate rule id in proposed program: " ^ id)
     | None ->
       let epoch = t.next_epoch in
       t.next_epoch <- epoch + 1;
+      let placed = System.place t.system strategy.Strategy.rules in
       List.iter
-        (fun (_, shell) -> Shell.propose_epoch shell ~epoch strategy.Strategy.rules)
+        (fun (_, shell) -> Shell.propose_epoch shell ~epoch (placed shell))
         (System.shells t.system);
       t.proposed <- Some (epoch, strategy);
       let obs = System.obs t.system in

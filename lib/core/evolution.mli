@@ -128,8 +128,9 @@ val create :
 
 val propose : t -> Strategy.t -> (int, string) result
 (** Stage [strategy] as the next epoch at every shell (journaled
-    write-ahead).  At most one outstanding proposal; returns the
-    assigned epoch number. *)
+    write-ahead), each shell receiving its {!System.place} share of the
+    rules.  At most one outstanding proposal; returns the assigned
+    epoch number. *)
 
 val cutover : t -> (transition, string) result
 (** Switch dispatch to the proposed epoch at every shell, apply the

@@ -71,7 +71,9 @@ type t = {
   obs : Obs.t;
   journals : Journal.registry option;
   endpoints : (string, endpoint) Hashtbl.t;
-  mutable sites : string list;  (* sorted, for deterministic iteration *)
+  mutable sites : string list Lazy.t;
+      (* sorted [endpoints] keys, for deterministic iteration; sorted on
+         first use after a registration, not at every one *)
   links : (string * string, link) Hashtbl.t;
   suspect_hooks : (site:string -> suspect:string -> unit) Queue.t;
   recover_hooks : (site:string -> peer:string -> unit) Queue.t;
@@ -97,7 +99,7 @@ let create ~sim ~net ?(config = default_config) ?(obs = Obs.noop) ?journals () =
     obs;
     journals;
     endpoints = Hashtbl.create 8;
-    sites = [];
+    sites = lazy [];
     links = Hashtbl.create 16;
     suspect_hooks = Queue.create ();
     recover_hooks = Queue.create ();
@@ -466,7 +468,7 @@ let heartbeat_tick t ep =
           Hashtbl.replace ep.last_heard peer now
         | Some last -> if now -. last > threshold then suspect t ep peer
       end)
-    t.sites
+    (Lazy.force t.sites)
 
 let register t ~site deliver =
   if Hashtbl.mem t.endpoints site then
@@ -481,7 +483,7 @@ let register t ~site deliver =
     }
   in
   Hashtbl.replace t.endpoints site ep;
-  t.sites <- List.sort compare (site :: t.sites);
+  t.sites <- lazy (List.sort String.compare (Hashtbl.fold (fun s _ l -> s :: l) t.endpoints []));
   Net.register t.net ~site (fun frame -> receive t ep frame);
   if t.cfg.heartbeat_period > 0.0 then
     Sim.every t.sim ~period:t.cfg.heartbeat_period

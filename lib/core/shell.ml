@@ -12,6 +12,8 @@ type ctx = {
   ctx_locator : Item.locator;
   ctx_obs : Obs.t;
   ctx_journals : Journal.registry option;
+  ctx_route : string -> string;
+  ctx_peers : unit -> string list;
 }
 
 (* One versioned rule program at this site (ISSUE 6).  Epoch 0 is the
@@ -42,10 +44,7 @@ type t = {
   site : string;
   store : Store.t;
   journal : Journal.t option;
-  mutable translators : Cmi.t list;
-  translator_by_base : (string, Cmi.t) Hashtbl.t;
-      (* first-attached owner per base — replaces the per-read
-         List.find_opt scan over [translators] *)
+  translator_by_base : (string, Cmi.t) Hashtbl.t;  (* first-attached owner *)
   handled_sites : (string, unit) Hashtbl.t;
   mutable route : string -> string;
   epochs : (int, rule_epoch) Hashtbl.t;
@@ -61,25 +60,20 @@ type t = {
   custom_handlers : (string, (Event.t -> unit) list ref) Hashtbl.t;
   mutable failure_listeners : (origin:string -> Msg.failure_kind -> unit) list;
   mutable reset_listeners : (origin:string -> unit) list;
-  mutable peer_sites : string list;  (* sorted: deterministic broadcasts *)
+  mutable peers : unit -> string list;
+      (* sorted, may include this site: deterministic broadcasts *)
   mutable fires_sent : int;
   mutable fires_executed : int;
   mutable events_seen : int;
 }
 
 let site t = t.site
-let sim t = t.sim
-let trace t = t.trace
-let translators t = t.translators
 
 let tags ?span t = Obs.log_tags ~site:t.site ~time:(Sim.now t.sim) ?span ()
 
 let set_route t route = t.route <- route
 
-let set_peer_sites t sites =
-  t.peer_sites <-
-    List.sort_uniq String.compare
-      (List.filter (fun s -> not (String.equal s t.site)) sites)
+let set_peer_sites t sites = t.peers <- (fun () -> sites)
 
 let local_state t =
   Expr.state_of_fun (fun item ->
@@ -207,19 +201,6 @@ let epoch_phase t ~epoch =
   Option.map (fun e -> e.re_phase) (Hashtbl.find_opt t.epochs epoch)
 
 let stale_epoch_rejections t = t.stale_epoch_rejections
-
-let epoch_snapshot t =
-  let entries =
-    Hashtbl.fold
-      (fun n e acc ->
-        (* Epoch 0's rules are configuration, not journaled state, and a
-           base epoch that is simply active carries no information. *)
-        if n = 0 && e.re_phase = Journal.Ep_active then acc
-        else (n, e.re_phase, (if n = 0 then [] else e.re_rules)) :: acc)
-      t.epochs []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  in
-  (entries, t.active_epoch)
 
 (* Write-ahead: the store mutation is journaled before it is applied, so
    recovery replays exactly the writes that happened. *)
@@ -459,7 +440,7 @@ and handle_msg t = function
 let create ctx ~site =
   let { ctx_sim = sim; ctx_net = net; ctx_reliable = reliable;
         ctx_trace = trace; ctx_locator = locator; ctx_obs = obs;
-        ctx_journals = journals } = ctx
+        ctx_journals = journals; ctx_route = route; ctx_peers = peers } = ctx
   in
   let send_msg =
     match reliable with
@@ -477,10 +458,9 @@ let create ctx ~site =
       site;
       store = Store.create ();
       journal = Option.map (fun reg -> Journal.for_site reg ~site) journals;
-      translators = [];
       translator_by_base = Hashtbl.create 16;
       handled_sites = Hashtbl.create 4;
-      route = (fun s -> s);
+      route;
       epochs = Hashtbl.create 4;
       active_epoch = 0;
       stale_epoch_rejections = 0;
@@ -489,7 +469,7 @@ let create ctx ~site =
       custom_handlers = Hashtbl.create 8;
       failure_listeners = [];
       reset_listeners = [];
-      peer_sites = [];
+      peers;
       fires_sent = 0;
       fires_executed = 0;
       events_seen = 0;
@@ -504,31 +484,45 @@ let create ctx ~site =
    | None -> Net.register net ~site (handle_msg t));
   t
 
-let attach_translator t (tr : Cmi.t) =
-  t.translators <- t.translators @ [ tr ];
-  (* First-attached translator wins per base, matching the List.find_opt
-     over attachment order this index replaces. *)
+let emitter_for t ~site : Cmi.emit = fun desc ~kind -> emit_at t ~site desc ~kind
+
+let install_strategy t rules =
+  (* Installs extend the currently active epoch — for a configured (not
+     yet evolved) system that is the base program, epoch 0.  All or
+     nothing: a duplicate id leaves the program as it was. *)
+  let e = active_program t in
+  List.iteri
+    (fun i rule ->
+      if Hashtbl.mem e.re_by_id rule.Rule.id then begin
+        List.iteri (fun j r -> if j < i then Hashtbl.remove e.re_by_id r.Rule.id) rules;
+        invalid_arg ("Shell.install_strategy: duplicate rule id " ^ rule.Rule.id)
+      end;
+      Hashtbl.replace e.re_by_id rule.Rule.id rule)
+    rules;
+  e.re_rules <- e.re_rules @ rules;
+  List.iter (index_add t) rules
+
+let attach_translator t (tr : Cmi.t) ~placed =
   List.iter
     (fun base ->
       if not (Hashtbl.mem t.translator_by_base base) then
         Hashtbl.replace t.translator_by_base base tr)
     tr.bases;
-  Hashtbl.replace t.handled_sites tr.site ()
-
-let emitter_for t ~site : Cmi.emit = fun desc ~kind -> emit_at t ~site desc ~kind
-
-let install_strategy t rules =
-  (* Installs extend the currently active epoch — for a configured (not
-     yet evolved) system that is the base program, epoch 0. *)
-  let e = active_program t in
-  List.iter
-    (fun rule ->
-      if Hashtbl.mem e.re_by_id rule.Rule.id then
-        invalid_arg ("Shell.install_strategy: duplicate rule id " ^ rule.Rule.id);
-      Hashtbl.replace e.re_by_id rule.Rule.id rule;
-      e.re_rules <- e.re_rules @ [ rule ];
-      index_add t rule)
-    rules
+  if not (Hashtbl.mem t.handled_sites tr.site) then begin
+    (* Rules installed before the attach: the ones placed here because
+       of the new site join the program, and every rule firing there
+       joins the index (those already here were left out while the site
+       was foreign) — in program order, as an install would add them. *)
+    let rules = placed () in
+    let e = active_program t in
+    install_strategy t (List.filter (fun r -> not (Hashtbl.mem e.re_by_id r.Rule.id)) rules);
+    Hashtbl.replace t.handled_sites tr.site ();
+    List.iter
+      (fun rule ->
+        if Rule.lhs_site rule t.locator = Some tr.site then
+          Rule_index.add t.lhs_rules ~lhs:rule.Rule.lhs ~site:(Some tr.site) rule)
+      rules
+  end
 
 let installed_rules t =
   let e = active_program t in
@@ -558,21 +552,20 @@ let on_custom t name handler =
 let on_failure_notice t f = t.failure_listeners <- t.failure_listeners @ [ f ]
 let on_reset_notice t f = t.reset_listeners <- t.reset_listeners @ [ f ]
 
-let report_failure t kind =
-  List.iter (fun f -> f ~origin:t.site kind) t.failure_listeners;
+let broadcast t msg =
   List.iter
     (fun peer ->
-      t.send_msg ~from_site:t.site ~to_site:peer
-        (Msg.Failure_notice { origin_site = t.site; kind }))
-    t.peer_sites
+      if not (String.equal peer t.site) then
+        t.send_msg ~from_site:t.site ~to_site:peer msg)
+    (t.peers ())
+
+let report_failure t kind =
+  List.iter (fun f -> f ~origin:t.site kind) t.failure_listeners;
+  broadcast t (Msg.Failure_notice { origin_site = t.site; kind })
 
 let broadcast_reset t =
   List.iter (fun f -> f ~origin:t.site) t.reset_listeners;
-  List.iter
-    (fun peer ->
-      t.send_msg ~from_site:t.site ~to_site:peer
-        (Msg.Reset_notice { origin_site = t.site }))
-    t.peer_sites
+  broadcast t (Msg.Reset_notice { origin_site = t.site })
 
 let fires_sent t = t.fires_sent
 let fires_executed t = t.fires_executed
@@ -580,8 +573,6 @@ let events_seen t = t.events_seen
 let rule_index_stats t = Rule_index.bucket_stats t.lhs_rules
 
 (* -- crash-recovery hooks (driven by Cm_core.Recovery) -- *)
-
-let journal t = t.journal
 
 let reset_volatile t =
   Store.clear t.store;

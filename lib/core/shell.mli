@@ -33,12 +33,18 @@ type ctx = {
   ctx_locator : Cm_rule.Item.locator;
   ctx_obs : Obs.t;
   ctx_journals : Journal.registry option;
+  ctx_route : string -> string;
+  ctx_peers : unit -> string list;
 }
 (** The per-system context every shell shares: simulation clock,
     network, optional reliable-delivery layer, global trace, item
-    locator, observability registry, and (when the system is configured
-    durable) the per-site journal registry.  {!System.create} builds it
-    once from its {!System.Config.t}. *)
+    locator, observability registry, (when the system is configured
+    durable) the per-site journal registry, the route from any site to
+    the primary site of the shell serving it, and the sorted primary
+    sites failure and reset notices go to (the shell skips its own).
+    {!System.add_shell} builds it from the system's state; the route and
+    peer closures read that state when called, so shells added or
+    translators registered later are seen without re-wiring. *)
 
 val create : ctx -> site:string -> t
 (** Registers the shell's network handler at [site].  When
@@ -49,13 +55,15 @@ val create : ctx -> site:string -> t
     {!Msg.Reset_notice}. *)
 
 val site : t -> string
-val sim : t -> Cm_sim.Sim.t
-val trace : t -> Cm_rule.Trace.t
-
-val attach_translator : t -> Cmi.t -> unit
-(** The translator's sites become handled by this shell. *)
-
-val translators : t -> Cmi.t list
+val attach_translator : t -> Cmi.t -> placed:(unit -> Cm_rule.Rule.t list) -> unit
+(** The translator's site becomes handled by this shell.  When the site
+    is new to the shell, [placed ()] must give the rules the shell holds
+    under the placement that includes the site, in program order
+    ({!System.place} over the installed strategy rules): the missing
+    ones join the active program and every one whose LHS site is the new
+    site joins the dispatch index, so a translator attached after an
+    install fires the same rules, in the same order, as one attached
+    before it. *)
 
 val emitter_for : t -> site:string -> Cmi.emit
 (** The emit callback handed to a translator at [site]: records the event
@@ -64,14 +72,18 @@ val emitter_for : t -> site:string -> Cmi.emit
     their own changes. *)
 
 val set_route : t -> (string -> string) -> unit
-(** Map RHS sites to the shell site responsible for them (identity by
-    default).  Needed only when shells handle foreign sites. *)
+(** Replace [ctx_route], the map from RHS sites to the shell site
+    responsible for them — the sharded fabric's global view. *)
 
 val install_strategy : t -> Cm_rule.Rule.t list -> unit
-(** Install strategy rules.  The shell matches those whose LHS site it
-    handles and executes the RHS of any rule it receives a Fire for.
+(** Install strategy rules, appending them to the active program in one
+    step.  The shell matches those whose LHS site it handles and executes
+    the RHS of any installed rule it receives a Fire for.  {!System.install}
+    gives a shell only the rules it needs (see {!System.place}).
     Interface rules are {e not} installed here — they describe translator
-    behaviour, not shell behaviour. *)
+    behaviour, not shell behaviour.
+    @raise Invalid_argument on a rule id already installed or repeated in
+    [rules]; the program is then left unchanged. *)
 
 val installed_rules : t -> Cm_rule.Rule.t list
 
@@ -108,7 +120,8 @@ val report_failure : t -> Msg.failure_kind -> unit
 val broadcast_reset : t -> unit
 
 val set_peer_sites : t -> string list -> unit
-(** Where failure/reset notices are broadcast. *)
+(** Replace [ctx_peers] with a fixed list, sorted and without duplicates
+    (the order notices are sent in). *)
 
 (** {2 Introspection for benchmarks} *)
 
@@ -169,11 +182,6 @@ val restore_epoch_ops : t -> epoch_op list -> unit
 (** Replay transitions without re-journaling them — the recovery path,
     called after {!reset_volatile} dropped the site back to epoch 0. *)
 
-val epoch_snapshot : t -> (int * Journal.epoch_phase * Cm_rule.Rule.t list) list * int
-(** Epoch state for a checkpoint: [(number, phase, rules)] ascending
-    (epoch 0, whose rules are configuration, appears with [] and only
-    when no longer simply active), plus the active epoch number. *)
-
 (** {2 Crash-recovery hooks}
 
     Driven by {!Recovery}; not meant for application use.  When the
@@ -182,8 +190,6 @@ val epoch_snapshot : t -> (int * Journal.epoch_phase * Cm_rule.Rule.t list) list
     detector's {!Msg.Suspect_down} verdicts are reported as {e metric}
     instead of logical failures — a journaled site's updates arrive
     late, not never (§5). *)
-
-val journal : t -> Journal.t option
 
 val reset_volatile : t -> unit
 (** Wipe the private store and drop rule epochs beyond the base program,

@@ -103,28 +103,12 @@ module Guarantee_view = struct
       ~source:(Interface.family source [ "n" ])
       ~target:(Interface.family target [ "n" ])
 
-  let static ~interfaces ~strategy ~master_site ~site ~source ~target =
-    let report = derive ~interfaces ~strategy ~source ~target in
-    {
-      gv_source = source;
-      gv_target = target;
-      gv_master_site = master_site;
-      gv_site = site;
-      gv_report = report;
-      gv_kappa = kappa_of_report report;
-      gv_valid = true;
-      gv_invalidations = [];
-      gv_epoch_survival = [];
-    }
-
   let survivals_metric_lost survivals =
     List.exists
       (fun s ->
         String.equal s.es_guarantee metric_name
         && (String.equal s.es_status "lost" || String.equal s.es_status "never"))
       survivals
-
-  let metric_lost entry = survivals_metric_lost entry.gv_epoch_survival
 
   (* The skip-reason vocabulary is part of the routing contract: the
      router exports it as the [route_replica_skips] reason label and the
@@ -147,10 +131,6 @@ module Guarantee_view = struct
         match slo with
         | Some s when not (kappa <= s) -> Error "over-slo"
         | _ -> Ok kappa)
-
-  let qualifies ?slo entry =
-    qualify ?slo ~kappa:entry.gv_kappa ~valid:entry.gv_valid
-      ~metric_lost:(metric_lost entry) ()
 end
 
 (* Runtime state behind one [Guarantee_view.entry]: the derived report is
@@ -178,6 +158,7 @@ type t = {
   obs : Obs.t;
   shells : (string, Shell.t) Hashtbl.t;  (* by primary site *)
   site_to_shell : (string, Shell.t) Hashtbl.t;  (* any handled site *)
+  mutable peers : string list Lazy.t;  (* sorted [shells] keys *)
   mutable interface_rules : Rule.t list;
   mutable strategy_rules : Rule.t list;
   guarantees_by_site : (string, guarantee_entry list ref) Hashtbl.t;
@@ -274,6 +255,7 @@ let create ?(config = Config.default) locator =
     obs;
     shells = Hashtbl.create 8;
     site_to_shell = Hashtbl.create 8;
+    peers = lazy [];
     interface_rules = [];
     strategy_rules = [];
     guarantees_by_site = Hashtbl.create 8;
@@ -344,18 +326,10 @@ let restart_site t ~site =
   | None -> Net.restart_site t.net ~site);
   match t.monitor with Some m -> relearn_monitor t m | None -> ()
 
-let refresh_routing t =
-  let peers = Hashtbl.fold (fun site _ acc -> site :: acc) t.shells [] in
-  let route site =
-    match Hashtbl.find_opt t.site_to_shell site with
-    | Some shell -> Shell.site shell
-    | None -> site
-  in
-  Hashtbl.iter
-    (fun _ shell ->
-      Shell.set_peer_sites shell peers;
-      Shell.set_route shell route)
-    t.shells
+let route t site =
+  match Hashtbl.find_opt t.site_to_shell site with
+  | Some shell -> Shell.site shell
+  | None -> site
 
 let guarantees_at t site =
   match Hashtbl.find_opt t.guarantees_by_site site with
@@ -411,27 +385,51 @@ let add_shell t ~site =
         ctx_locator = t.locator;
         ctx_obs = t.obs;
         ctx_journals = t.journals;
+        ctx_route = route t;
+        ctx_peers = (fun () -> Lazy.force t.peers);
       }
       ~site
   in
   Hashtbl.replace t.shells site shell;
   Hashtbl.replace t.site_to_shell site shell;
+  t.peers <- lazy (List.sort String.compare (Hashtbl.fold (fun s _ l -> s :: l) t.shells []));
   Shell.on_failure_notice shell (fun ~origin kind -> note_failure t ~origin kind);
   Shell.on_reset_notice shell (fun ~origin -> note_reset t ~origin);
   Option.iter (fun r -> Recovery.register_shell r shell) t.recovery;
-  refresh_routing t;
   shell
 
-let shell t ~site =
-  match Hashtbl.find_opt t.site_to_shell site with
-  | Some s -> s
-  | None -> raise Not_found
+let shell t ~site = Hashtbl.find t.site_to_shell site
+
+(* Where a rule lives (§4.1): on the shell handling its LHS site, which
+   indexes and fires it, and on the shell handling its RHS site, which
+   looks it up by id to execute a Fire.  A rule naming no item fires
+   and executes wherever its trigger occurs, so it lives on every shell.
+   Each rule's sites are resolved once, and a rule lives on at most two
+   shells rather than on all of them. *)
+let place t rules =
+  let placed = Hashtbl.create 16 in
+  let put rule shell =
+    match Hashtbl.find_opt placed (Shell.site shell) with
+    | Some { contents = last :: _ } when last == rule -> ()  (* LHS shell = RHS shell *)
+    | Some acc -> acc := rule :: !acc
+    | None -> Hashtbl.replace placed (Shell.site shell) (ref [ rule ])
+  in
+  List.iter
+    (fun rule ->
+      match Rule.lhs_site rule t.locator with
+      | None -> Hashtbl.iter (fun _ shell -> put rule shell) t.shells
+      | Some lhs ->
+        List.iter
+          (fun site -> Option.iter (put rule) (Hashtbl.find_opt t.site_to_shell site))
+          (lhs :: Option.to_list (Rule.rhs_site rule t.locator)))
+    rules;
+  fun shell ->
+    Option.fold ~none:[] ~some:(fun acc -> List.rev !acc) (Hashtbl.find_opt placed (Shell.site shell))
 
 let register_translator t ~shell (cmi : Cmi.t) =
-  Shell.attach_translator shell cmi;
   Hashtbl.replace t.site_to_shell cmi.Cmi.site shell;
   t.interface_rules <- t.interface_rules @ cmi.Cmi.interface_rules ();
-  refresh_routing t
+  Shell.attach_translator shell cmi ~placed:(fun () -> place t t.strategy_rules shell)
 
 let interface_rules t = t.interface_rules
 
@@ -478,9 +476,14 @@ let register_strategy_periodics t rules =
 let install t (strategy : Strategy.t) =
   Obs.incr t.obs "system_strategy_installs"
     ~labels:[ ("strategy", strategy.Strategy.strategy_name) ];
-  t.strategy_rules <- t.strategy_rules @ strategy.Strategy.rules;
-  Hashtbl.iter (fun _ shell -> Shell.install_strategy shell strategy.Strategy.rules)
-    t.shells;
+  let rules = t.strategy_rules @ strategy.Strategy.rules in
+  (* Ids are unique per system: no one shell sees every rule any more. *)
+  Option.iter
+    (fun id -> invalid_arg ("System.install: duplicate rule id " ^ id))
+    (Rule.duplicate_id rules);
+  t.strategy_rules <- rules;
+  let placed = place t strategy.Strategy.rules in
+  Hashtbl.iter (fun _ shell -> Shell.install_strategy shell (placed shell)) t.shells;
   apply_aux_init t strategy.Strategy.aux_init;
   register_strategy_periodics t strategy.Strategy.rules
 

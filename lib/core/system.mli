@@ -151,15 +151,32 @@ val shells : t -> (string * Shell.t) list
 
 val register_translator : t -> shell:Shell.t -> Cmi.t -> unit
 (** Attach, route the translator's site to that shell, and collect its
-    interface statements. *)
+    interface statements.  When strategy rules are already installed and
+    the site is new to the shell, the rules the shell now needs are
+    placed on it ({!Shell.attach_translator}), so registering a
+    translator after {!install} fires the same rules as registering it
+    before. *)
 
 val interface_rules : t -> Cm_rule.Rule.t list
 (** Everything the translators reported — the toolkit's view of what
     each database offers. *)
 
+val place : t -> Cm_rule.Rule.t list -> Shell.t -> Cm_rule.Rule.t list
+(** [place t rules shell]: the rules of [rules] that [shell] holds, in
+    program order — those whose LHS site it handles (it fires them),
+    those whose RHS site it handles (it executes their Fires), and those
+    naming no item (they fire and execute at every shell).  Partial
+    application resolves every rule's sites once, in O(rules); a rule
+    lands on at most two shells.  A rule over sites no shell of [t]
+    handles lands nowhere — under the sharded fabric, the shard that
+    owns the site places it. *)
+
 val install : t -> Strategy.t -> unit
-(** Distribute the strategy's rules to all shells, write its auxiliary
-    data, and register [P(p)] timers for its polling rules. *)
+(** Place the strategy's rules on the shells ({!place}), write its
+    auxiliary data, and register [P(p)] timers for its polling rules.
+    Shells added afterwards receive none of these rules.
+    @raise Invalid_argument on a rule id already installed in [t] or
+    repeated in the strategy; nothing is installed then. *)
 
 val strategy_rules : t -> Cm_rule.Rule.t list
 val all_rules : t -> Cm_rule.Rule.t list
@@ -224,33 +241,6 @@ module Guarantee_view : sig
   val blocking_reason : Derive.report -> string option
   (** When all four guarantees are unprovable, the follows verdict's
       reason — the GRT001 analysis condition. *)
-
-  val static :
-    interfaces:Cm_rule.Rule.t list ->
-    strategy:Cm_rule.Rule.t list ->
-    master_site:string ->
-    site:string ->
-    source:string ->
-    target:string ->
-    entry
-  (** Pure constructor for analysis contexts with no running system:
-      derives the report and presents a valid, survival-free entry. *)
-
-  val metric_lost : entry -> bool
-  (** The current epoch classified guarantee (4) as lost/never. *)
-
-  val qualifies : ?slo:float -> entry -> (float, string) result
-  (** Whether a read with staleness budget [slo] may be served from this
-      copy: κ must be proved, the current epoch must not have lost the
-      metric guarantee, the handle must be valid, and κ ≤ [slo]
-      {e inclusive} — a copy exactly at the bound qualifies, since
-      Derive's κ (sampling period included for Sampled channels) and the
-      SLO are both end-to-end seconds.  [Ok κ] on success; the [Error]
-      strings ["epoch-lost"], ["unprovable"], ["invalidated"],
-      ["over-slo"] are the router's skip-reason vocabulary, in that
-      precedence order — the epoch verdict outranks the κ probe because
-      an epoch that dropped the guarantee usually makes κ unprovable
-      too, and "epoch-lost" explains the transition. *)
 end
 
 val declare_copies :
@@ -275,8 +265,18 @@ val guarantee_view : t -> Guarantee_view.entry list
 
 val copy_qualifies :
   ?slo:float -> t -> source:string -> target:string -> (float, string) result
-(** {!Guarantee_view.qualifies} without materializing the entry — the
-    router's per-read probe ([Error "undeclared"] for unknown pairs). *)
+(** Whether a read with staleness budget [slo] may be served from the
+    copy [source] → [target] — the router's per-read probe.  κ must be
+    proved, the current epoch must not have lost the metric guarantee,
+    the handle must be valid, and κ ≤ [slo] {e inclusive} — a copy
+    exactly at the bound qualifies, since Derive's κ (sampling period
+    included for Sampled channels) and the SLO are both end-to-end
+    seconds.  [Ok κ] on success; the [Error] strings ["undeclared"]
+    (unknown pair), ["epoch-lost"], ["unprovable"], ["invalidated"],
+    ["over-slo"] are the router's skip-reason vocabulary, in that
+    precedence order — the epoch verdict outranks the κ probe because
+    an epoch that dropped the guarantee usually makes κ unprovable too,
+    and "epoch-lost" explains the transition. *)
 
 val note_epoch_survival :
   t ->

@@ -89,6 +89,14 @@ let check_well_formed t locator =
   in
   check_all 0 steps
 
+let duplicate_id rules =
+  let seen = Hashtbl.create 16 in
+  List.find_map
+    (fun r ->
+      if Hashtbl.mem seen r.id then Some r.id
+      else (Hashtbl.replace seen r.id (); None))
+    rules
+
 let free_vars t =
   let all =
     Template.free_vars t.lhs

@@ -62,6 +62,9 @@ val check_well_formed : t -> Item.locator -> (unit, string) result
     standard-name arities respected (enforced at template construction).
     The toolkit refuses ill-formed strategy files. *)
 
+val duplicate_id : t list -> string option
+(** The first id that occurs twice in the list, if any. *)
+
 val free_vars : t -> string list
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

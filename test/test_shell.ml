@@ -234,6 +234,56 @@ let foreign_site_rhs_routed () =
   Alcotest.(check (option string)) "written at c" (Some "5")
     (Cm_sources.Kvfile.read fs "xc")
 
+(* A translator registered after the install must fire and execute the
+   rules over its site exactly as one registered before it.  Site c has
+   no shell; a's shell serves it.  r1 and r0 both fire at c and execute
+   on a's shell: r0 was already there (its RHS is a), r1 was not (its
+   RHS is c), and r1 comes first in the program.  Links have a fixed
+   latency, so the order of their generated events is the index order.
+   r2 executes at c, so a's shell must hold it for the Fire's lookup. *)
+let late_translator_same_trace () =
+  let locator item =
+    match item.Item.base with "Xc" -> "c" | "Xa" | "AuxA" -> "a" | _ -> "b"
+  in
+  let run ~late =
+    let system =
+      Sys_.create
+        ~config:
+          Cm_core.System.Config.(
+            seeded 12 |> with_latency { Cm_net.Net.base = 1.0; jitter = 0.0 })
+        locator
+    in
+    let sa = Sys_.add_shell system ~site:"a" in
+    let sb = Sys_.add_shell system ~site:"b" in
+    let fs = Cm_sources.Kvfile.create () in
+    let tr =
+      Cm_core.Tr_kvfile.create ~sim:(Sys_.sim system) ~fs ~site:"c"
+        ~emit:(Shell.emitter_for sa ~site:"c")
+        ~report:(fun k -> Shell.report_failure sa k)
+        [ { Cm_core.Tr_kvfile.base = "Xc"; params = []; key_template = "xc"; writable = true } ]
+    in
+    let register () = Sys_.register_translator system ~shell:sa (Cm_core.Tr_kvfile.cmi tr) in
+    if not late then register ();
+    Sys_.install system
+      (strategy_of
+         {|r1: Ws(Xc, v) ->[5] Seen(Xc, v)
+           r0: Ws(Xc, v) ->[5] W(AuxA, v)
+           r2: Ping(Xb, v) ->[5] WR(Xc, v)|});
+    if late then register ();
+    Cm_core.Tr_kvfile.write_app tr (Item.make "Xc") (Value.Int 99);
+    Sim.schedule_at (Sys_.sim system) 20.0 (fun () ->
+        emit_at sb ~site:"b" (custom "Ping" [ ai "Xb"; av (Value.Int 5) ]));
+    Sys_.run system ~until:40.0;
+    Alcotest.(check int) "r1 fired" 1 (List.length (Trace.named (Sys_.trace system) "Seen"));
+    Alcotest.(check (option value)) "r0 fired" (Some (Value.Int 99))
+      (Shell.read_aux sa (Item.make "AuxA"));
+    Alcotest.(check (option string)) "r2 executed at c" (Some "5")
+      (Cm_sources.Kvfile.read fs "xc");
+    Trace.to_string (Sys_.trace system)
+  in
+  Alcotest.(check string) "same trace as registering first" (run ~late:false)
+    (run ~late:true)
+
 (* ---- dispatch edge cases (indexed vs naive) ---- *)
 
 let chaining_rule_fires_only_locally () =
@@ -323,5 +373,7 @@ let () =
         [
           Alcotest.test_case "foreign site served" `Quick foreign_site_served_by_shell;
           Alcotest.test_case "foreign RHS routed" `Quick foreign_site_rhs_routed;
+          Alcotest.test_case "late translator, same trace" `Quick
+            late_translator_same_trace;
         ] );
     ]

@@ -3,6 +3,7 @@
    reset semantics across sites (§5). *)
 
 open Cm_rule
+module Sim = Cm_sim.Sim
 module Sys_ = Cm_core.System
 module Shell = Cm_core.Shell
 module Strategy = Cm_core.Strategy
@@ -178,6 +179,133 @@ let duplicate_shell_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* ---- rule placement: a rule lives where it fires or executes ---- *)
+
+module Net = Cm_net.Net
+module Evolution = Cm_core.Evolution
+
+(* A three-site ring: an item's site is the last letter of its base. *)
+let ring_locator item =
+  let b = item.Item.base in
+  String.make 1 b.[String.length b - 1]
+
+let ring_program =
+  {|ra: U(Xa, v) ->[5] V(Xb, v)
+    rb: U(Xb, v) ->[5] V(Xc, v)
+    rc: U(Xc, v) ->[5] V(Xa, v)
+    la: U(Ya, v) ->[5] V(Ya, v)
+    s0: Tick(v) ->[5] Tock(v)|}
+
+let strategy_of ?(name = "s") rules =
+  { Strategy.strategy_name = name; description = name; rules; aux_init = [] }
+
+let ring_system () =
+  let system =
+    Sys_.create
+      ~config:Sys_.Config.(seeded 11 |> with_latency { Net.base = 1.0; jitter = 0.0 })
+      ring_locator
+  in
+  let shells = List.map (fun site -> Sys_.add_shell system ~site) [ "a"; "b"; "c" ] in
+  (system, shells)
+
+let ids shell = List.map (fun r -> r.Rule.id) (Shell.installed_rules shell)
+
+let ring_placement () =
+  let system, shells = ring_system () in
+  Sys_.install system (strategy_of (Parser.parse_rules ring_program));
+  Alcotest.(check (list (list string)))
+    "each shell holds its LHS-handled and RHS-handled rules, s0 everywhere"
+    [ [ "la"; "ra"; "rc"; "s0" ]; [ "ra"; "rb"; "s0" ]; [ "rb"; "rc"; "s0" ] ]
+    (List.map ids shells)
+
+let duplicate_id_rejected_across_shells () =
+  let system, shells = ring_system () in
+  Sys_.install system (strategy_of (Parser.parse_rules "r: U(Xa, v) ->[5] V(Xa, v)"));
+  let raises rules =
+    try
+      Sys_.install system (strategy_of (Parser.parse_rules rules));
+      false
+    with Invalid_argument _ -> true
+  in
+  (* No shell holds both rules named r: only the system sees the clash. *)
+  Alcotest.(check bool) "clash on disjoint shells" true
+    (raises "q: U(Xb, v) ->[5] V(Xb, v)\nr: U(Xb, v) ->[5] V(Xc, v)");
+  Alcotest.(check bool) "clash inside one strategy" true
+    (raises "p: U(Xc, v) ->[5] V(Xc, v)\np: U(Xb, v) ->[5] V(Xb, v)");
+  Alcotest.(check (list (list string))) "a rejected install installs nothing"
+    [ [ "r" ]; []; [] ] (List.map ids shells);
+  Alcotest.(check int) "strategy rules unchanged" 1
+    (List.length (Sys_.strategy_rules system))
+
+(* The same ring run twice through propose -> cutover -> retire: once
+   over placed programs (System.install, Evolution), once with every
+   shell holding the whole program (the distribution placement
+   replaced).  Fires sent under epoch 0 are in flight when it retires.
+   Traces, stale-epoch rejections and rule-index shapes must agree. *)
+let evolution_over_placed_programs () =
+  let v1 =
+    {|ra: U(Xa, v) ->[5] V(Xc, v)
+      rb: U(Xb, v) ->[5] V(Xc, v)
+      rc: U(Xc, v) ->[5] V(Xa, v)
+      ab: V(Xa, v) ->[5] V(Yb, v)
+      s0: Tick(v) ->[5] Tock(v)|}
+  in
+  let run ~placed =
+    let system, shells = ring_system () in
+    let sim = Sys_.sim system in
+    let p0 = Parser.parse_rules ring_program and p1 = Parser.parse_rules v1 in
+    let ok label = function Ok _ -> () | Error m -> Alcotest.failf "%s: %s" label m in
+    let propose, cutover, retire =
+      if placed then begin
+        Sys_.install system (strategy_of p0);
+        let evo = Evolution.create system in
+        ( (fun () -> ok "propose" (Evolution.propose evo (strategy_of ~name:"v1" p1))),
+          (fun () -> ok "cutover" (Evolution.cutover evo)),
+          fun () -> ok "retire" (Evolution.retire evo ~epoch:0) )
+      end
+      else begin
+        List.iter (fun sh -> Shell.install_strategy sh p0) shells;
+        let each f () = List.iter f shells in
+        ( each (fun sh -> Shell.propose_epoch sh ~epoch:1 p1),
+          each (fun sh -> Shell.cutover_epoch sh ~epoch:1),
+          each (fun sh -> Shell.retire_epoch sh ~epoch:0) )
+      end
+    in
+    let emit at site base v =
+      Sim.schedule_at sim at (fun () ->
+          let shell = Sys_.shell system ~site in
+          let desc =
+            if base = "" then { Event.name = "Tick"; args = [ Event.Av (Value.Int v) ] }
+            else
+              { Event.name = "U"; args = [ Event.Ai (Item.make base); Event.Av (Value.Int v) ] }
+          in
+          ignore ((Shell.emitter_for shell ~site) desc ~kind:Event.Spontaneous))
+    in
+    List.iteri (fun i b -> emit 1.0 (ring_locator (Item.make b)) b i) [ "Xa"; "Xb"; "Xc"; "Ya" ];
+    emit 1.5 "b" "" 9;
+    Sim.schedule_at sim 2.0 propose;
+    List.iteri (fun i b -> emit 3.0 (ring_locator (Item.make b)) b (10 + i)) [ "Xa"; "Xb"; "Xc" ];
+    Sim.schedule_at sim 3.5 cutover;
+    Sim.schedule_at sim 3.7 retire;
+    List.iteri (fun i b -> emit 5.0 (ring_locator (Item.make b)) b (20 + i)) [ "Xa"; "Xb"; "Xc"; "Ya" ];
+    Sys_.run system ~until:20.0;
+    ( Trace.to_string (Sys_.trace system),
+      List.map
+        (fun sh -> (Shell.stale_epoch_rejections sh, Shell.rule_index_stats sh))
+        shells,
+      List.map ids shells )
+  in
+  let trace_p, shells_p, ids_p = run ~placed:true in
+  let trace_f, shells_f, _ = run ~placed:false in
+  Alcotest.(check string) "same trace" trace_f trace_p;
+  Alcotest.(check (list (pair int (pair int int))))
+    "same stale-epoch rejections and rule-index shape" shells_f shells_p;
+  Alcotest.(check int) "the in-flight epoch-0 fires were rejected" 3
+    (List.fold_left (fun acc (n, _) -> acc + n) 0 shells_p);
+  Alcotest.(check (list (list string))) "epoch 1 placed"
+    [ [ "ab"; "ra"; "rc"; "s0" ]; [ "ab"; "rb"; "s0" ]; [ "ra"; "rb"; "rc"; "s0" ] ]
+    ids_p
+
 (* ---- Guarantee_view: §5 invalidation -> reset round trip ---- *)
 
 module GV = Sys_.Guarantee_view
@@ -252,6 +380,15 @@ let () =
           Alcotest.test_case "timer registration" `Quick polling_rule_registers_timer;
           Alcotest.test_case "unplaceable aux" `Quick install_rejects_unplaceable_aux;
           Alcotest.test_case "all_rules" `Quick all_rules_combines;
+        ] );
+      ( "placement",
+        [
+          Alcotest.test_case "ring: LHS and RHS shells, site-free on all" `Quick
+            ring_placement;
+          Alcotest.test_case "duplicate id rejected across shells" `Quick
+            duplicate_id_rejected_across_shells;
+          Alcotest.test_case "evolution over placed programs" `Quick
+            evolution_over_placed_programs;
         ] );
       ( "shells",
         [
