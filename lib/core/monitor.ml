@@ -181,6 +181,7 @@ type t = {
   mutable families : family list;  (* rev declaration order *)
   mutable batch_time : float;
   mutable batch : (Item.t * change) list;  (* rev order *)
+  mutable initial : (Item.t * change) list;  (* rev order; relearn replays it *)
   mutable have_batch : bool;
   mutable did_zero : bool;  (* always-leq sampled the 0.0 point *)
   mutable touched : watcher list;
@@ -211,6 +212,7 @@ let create ?sim ?(obs = Obs.noop) () =
     families = [];
     batch_time = 0.0;
     batch = [];
+    initial = [];
     have_batch = false;
     did_zero = false;
     touched = [];
@@ -670,6 +672,7 @@ let note_initial t bindings =
   List.iter
     (fun (item, v) ->
       ensure_instances t item;
+      t.initial <- (item, Cset v) :: t.initial;
       push_change t ~time:0.0 (item, Cset v))
     bindings
 
@@ -803,8 +806,9 @@ let relearn t events =
   let down = List.filter (fun w -> w.w_down) t.watchers in
   if down <> [] then begin
     let state = Itbl.create 64 in
-    (* Per-instant micro-batches, like the live feed. *)
-    let batch = ref [] and batch_at = ref 0.0 in
+    (* Per-instant micro-batches, like the live feed; the first opens at
+       0.0 with the {!note_initial} values, as it did live. *)
+    let batch = ref t.initial and batch_at = ref 0.0 in
     let close () =
       if !batch <> [] then begin
         run_batch t ~replay:true ~state ~at:!batch_at (List.rev !batch);

@@ -150,9 +150,8 @@ val relearn : t -> Cm_rule.Event.t list -> unit
     live.  The replay runs the live feed's batch engine, and a replayed
     INS resolves against the replayed history (the item's value at that
     point of the replay), not against the live current value.  Pass the
-    history from its start: values set outside it (e.g. by
-    {!note_initial}) are unknown to the replay unless passed as [W]
-    events at time 0.  What the replay restores is the *obligations*: a leads
+    history from its start; the {!note_initial} values replay first, as
+    changes at time 0.  What the replay restores is the *obligations*: a leads
     trigger journaled before the crash re-enters the pending set, so a
     violation that occurred before the crash but whose detection
     deadline falls after it is still reported at {!finalize} — the

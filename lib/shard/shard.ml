@@ -3,7 +3,6 @@ module Net = Cm_net.Net
 module System = Cm_core.System
 module Shell = Cm_core.Shell
 module Obs = Cm_core.Obs
-module Prng = Cm_util.Prng
 
 module Fabric = struct
   (* One cross-shard message, captured on the source shard with its
@@ -19,7 +18,6 @@ module Fabric = struct
   }
 
   type t = {
-    seed : int;
     single : bool;  (* plain sequential delegation: the oracle path *)
     systems : System.t array;
     assign : string -> int;
@@ -36,7 +34,6 @@ module Fabric = struct
     mutable forwarded : int;
   }
 
-  let shard_count t = Array.length t.systems
   let system t k = t.systems.(k)
 
   let shard_of t ~site =
@@ -52,11 +49,6 @@ module Fabric = struct
                (Array.length t.systems));
         k
       end
-
-  let owner t ~site =
-    match Hashtbl.find_opt t.site_owner site with
-    | Some (k, _) -> t.systems.(k)
-    | None -> invalid_arg ("Fabric.owner: unknown site " ^ site)
 
   let create ?(config = System.Config.default) ?(keyed_single = false) ~assign
       locator =
@@ -84,7 +76,6 @@ module Fabric = struct
     in
     let t =
       {
-        seed = config.System.Config.seed;
         single;
         systems;
         assign;
@@ -152,9 +143,9 @@ module Fabric = struct
   let install t strategy = Array.iter (fun sys -> System.install sys strategy) t.systems
 
   let at t ~site time f =
-    Sim.schedule_at (System.sim (owner t ~site)) time f
-
-  let rng t ~tag = Prng.of_key ~seed:t.seed ("fabric:" ^ tag)
+    match Hashtbl.find_opt t.site_owner site with
+    | Some (k, _) -> Sim.schedule_at (System.sim t.systems.(k)) time f
+    | None -> invalid_arg ("Fabric.at: unknown site " ^ site)
 
   let set_latency t ~from_site ~to_site latency =
     Hashtbl.replace t.overrides (from_site, to_site) latency.Net.base;
@@ -166,17 +157,6 @@ module Fabric = struct
       Array.iter
         (fun sys -> Net.set_latency (System.net sys) ~from_site ~to_site latency)
         t.systems
-
-  let set_faults t ~from_site ~to_site faults =
-    match Hashtbl.find_opt t.site_owner from_site with
-    | Some (k, _) -> Net.set_faults (System.net t.systems.(k)) ~from_site ~to_site faults
-    | None ->
-      Array.iter
-        (fun sys -> Net.set_faults (System.net sys) ~from_site ~to_site faults)
-        t.systems
-
-  let set_default_faults t faults =
-    Array.iter (fun sys -> Net.set_default_faults (System.net sys) faults) t.systems
 
   (* Fault-state transitions are mirrored: the send-side liveness and
      partition checks run on the source shard, so every shard's network
@@ -304,151 +284,92 @@ module Fabric = struct
         Net.inject (System.net t.systems.(dst)) ~from_site:p.p_from ~to_site:p.p_to
           ~at:p.p_at p.p_msg)
       parcels;
-    let n = List.length parcels in
-    t.forwarded <- t.forwarded + n;
-    n
+    t.forwarded <- t.forwarded + List.length parcels
 
-  (* Safe serialization for the zero-lookahead degenerate case: always
-     step the shard holding the globally earliest event (ties to the
-     lowest shard index) and exchange after every step, so a same-
-     instant cross-shard delivery becomes visible before the next pick.
-     Single-domain; correct for any latency floor including zero. *)
-  let run_serialized t ~until =
-    let rec loop () =
-      let best = ref None in
-      Array.iteri
-        (fun k sys ->
-          match Sim.next_at (System.sim sys) with
-          | Some a when a <= until -> (
-            match !best with
-            | Some (ba, _) when ba <= a -> ()
-            | _ -> best := Some (a, k))
-          | _ -> ())
-        t.systems;
-      match !best with
-      | None -> ()
-      | Some (_, k) ->
-        ignore (Sim.step (System.sim t.systems.(k)));
-        ignore (exchange t);
-        loop ()
-    in
-    loop ();
-    Array.iter (fun sys -> Sim.advance ~inclusive:true (System.sim sys) ~until) t.systems
-
-  (* Barrier-synchronous lookahead windows over persistent worker
-     domains.  Per window the coordinator publishes a target horizon,
-     the workers advance their wheels to it in parallel, and the
-     coordinator exchanges mailboxes before the next window — safe
-     because a cross-shard message sent inside [[t, t+L)] delivers no
-     earlier than [t+L]. *)
-  let run_windowed t ~until ~l =
+  (* One conservative run loop over every shard.  Each window opens at
+     m, the earliest queued event over all wheels (so windows holding no
+     event are never run), and advances every shard to h = min(m + L,
+     until): exclusive, so a message sent inside [m, h) — which delivers
+     no earlier than m + L — lands after the window, except that the
+     last window includes [until] and a zero lookahead makes the window
+     the single instant m (a same-instant cross-shard delivery then
+     reopens the window at m after the exchange).  The coordinator
+     advances shard 0 itself while n - 1 worker domains advance the
+     rest; the exchange between windows runs on the coordinator, and
+     the barrier mutex orders the workers' writes before it and its
+     heap pushes before the next window. *)
+  let run_windows t ~until =
     let n = Array.length t.systems in
+    let l = lookahead t in
     let mu = Mutex.create () in
-    let go = Condition.create () in
-    let finished = Condition.create () in
-    let generation = ref 0 in
-    let target = ref 0.0 in
-    let inclusive = ref false in
-    let quit = ref false in
-    let remaining = ref 0 in
-    let failure = ref None in
-    let worker k =
+    let go = Condition.create () and finished = Condition.create () in
+    let generation = ref 0 and remaining = ref 0 in
+    let horizon = ref 0.0 and inclusive = ref false in
+    let quit = ref false and failure = ref None in
+    let advance k =
+      let h = !horizon and inc = !inclusive in
+      try Sim.advance ~inclusive:inc (System.sim t.systems.(k)) ~until:h
+      with e ->
+        Mutex.protect mu (fun () -> if Option.is_none !failure then failure := Some e)
+    in
+    let worker k () =
       let seen = ref 0 in
-      let running = ref true in
-      while !running do
-        Mutex.lock mu;
-        while (not !quit) && !generation = !seen do
-          Condition.wait go mu
-        done;
-        if !quit then begin
-          Mutex.unlock mu;
-          running := false
-        end
+      Mutex.lock mu;
+      while not !quit do
+        if !generation = !seen then Condition.wait go mu
         else begin
           seen := !generation;
-          let u = !target and inc = !inclusive in
           Mutex.unlock mu;
-          (try Sim.advance ~inclusive:inc (System.sim t.systems.(k)) ~until:u
-           with e -> (
-             Mutex.lock mu;
-             (match !failure with None -> failure := Some e | Some _ -> ());
-             Mutex.unlock mu));
+          advance k;
           Mutex.lock mu;
           decr remaining;
-          if !remaining = 0 then Condition.broadcast finished;
-          Mutex.unlock mu
+          if !remaining = 0 then Condition.signal finished
         end
-      done
-    in
-    let domains = Array.init n (fun k -> Domain.spawn (fun () -> worker k)) in
-    let failed () =
-      Mutex.lock mu;
-      let f = !failure <> None in
-      Mutex.unlock mu;
-      f
-    in
-    let window ~inc u =
-      Mutex.lock mu;
-      target := u;
-      inclusive := inc;
-      remaining := n;
-      incr generation;
-      Condition.broadcast go;
-      while !remaining > 0 do
-        Condition.wait finished mu
       done;
       Mutex.unlock mu
     in
-    let start =
-      Array.fold_left (fun m sys -> Float.max m (Sim.now (System.sim sys))) 0.0 t.systems
+    let workers = Array.init (n - 1) (fun i -> Domain.spawn (worker (i + 1))) in
+    let window h inc =
+      Mutex.protect mu (fun () ->
+          horizon := h;
+          inclusive := inc;
+          remaining := n - 1;
+          incr generation;
+          Condition.broadcast go);
+      advance 0;
+      Mutex.protect mu (fun () ->
+          while !remaining > 0 do
+            Condition.wait finished mu
+          done)
     in
-    let pending_by until =
-      Array.exists
-        (fun sys ->
-          match Sim.next_at (System.sim sys) with
-          | Some a -> a <= until
-          | None -> false)
-        t.systems
-    in
-    let rec windows now =
-      if (not (failed ())) && now < until then begin
-        let horizon = if now +. l < until then now +. l else until in
-        window ~inc:false horizon;
-        ignore (exchange t);
-        windows horizon
+    let rec loop () =
+      let m =
+        Array.fold_left
+          (fun m sys ->
+            match Sim.next_at (System.sim sys) with Some a -> Float.min m a | None -> m)
+          infinity t.systems
+      in
+      if m <= until && m < infinity && Option.is_none !failure then begin
+        if l <= 0.0 then window m true
+        else if m +. l < until then window (m +. l) false
+        else window until true;
+        exchange t;
+        loop ()
       end
     in
-    (* Final drain at the inclusive boundary: events at exactly [until]
-       may seed cross-shard deliveries at [until] only if some latency
-       is zero — in which case we are not in this mode — so each round
-       strictly consumes the remaining <= until work and terminates. *)
-    let rec drain () =
-      if not (failed ()) then begin
-        window ~inc:true until;
-        ignore (exchange t);
-        if pending_by until then drain ()
-      end
-    in
-    windows start;
-    drain ();
-    Mutex.lock mu;
-    quit := true;
-    Condition.broadcast go;
-    Mutex.unlock mu;
-    Array.iter Domain.join domains;
-    match !failure with Some e -> raise e | None -> ()
+    Fun.protect loop ~finally:(fun () ->
+        Mutex.protect mu (fun () ->
+            quit := true;
+            Condition.broadcast go);
+        Array.iter Domain.join workers);
+    Option.iter raise !failure;
+    Array.iter (fun sys -> Sim.advance (System.sim sys) ~until) t.systems
 
-  let run ?lookahead:l t ~until =
-    if t.single then System.run t.systems.(0) ~until
-    else begin
-      prepare t;
-      let l = match l with Some l -> l | None -> lookahead t in
-      if Array.length t.systems = 1 then
-        (* keyed single: same wheel semantics as the sequential path *)
-        System.run t.systems.(0) ~until
-      else if l > 0.0 then run_windowed t ~until ~l
-      else run_serialized t ~until
-    end
+  let run t ~until =
+    prepare t;
+    (* One shard, plain or keyed: the sequential wheel semantics. *)
+    if Array.length t.systems = 1 then System.run t.systems.(0) ~until
+    else run_windows t ~until
 
   (* --- merged results ------------------------------------------------ *)
 
@@ -503,11 +424,6 @@ module Fabric = struct
 
   let trace_digest t =
     Digest.to_hex (Digest.string (String.concat "\n" (canonical_lines t)))
-
-  let counter_value ?labels t name =
-    Array.fold_left
-      (fun acc sys -> acc + Obs.counter_value ?labels (System.obs sys) name)
-      0 t.systems
 
   let counter_total t name =
     Array.fold_left

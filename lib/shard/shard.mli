@@ -7,27 +7,27 @@
     mailboxes that are exchanged at deterministic barriers.
 
     The execution model is conservative parallel discrete-event
-    simulation in the Chandy–Misra–Bryant family, specialized to a
-    barrier-synchronous window scheme: because every cross-shard network
-    link has base latency at least [L] (the {e lookahead}), a message
-    sent during the window [[t, t+L)] cannot deliver before [t+L] — so
-    all shards may run their wheels to [t+L] in parallel without
-    consulting each other, and the mailboxes are merged at the barrier
-    in a deterministic order ((delivery time, source shard, send
-    sequence)).  When the lookahead degenerates to zero (some
-    cross-shard link has zero base latency) the fabric does not hang and
-    does not guess: it falls back to a {e safe serialization} that
-    repeatedly steps whichever shard holds the globally earliest event
-    (ties to the lowest shard index) and exchanges mailboxes after every
-    step — sequentially correct, just not parallel.
+    simulation in the Chandy–Misra–Bryant family, run as one
+    barrier-synchronous window loop.  Every cross-shard network link has
+    base latency at least [L] (the {e lookahead}), so a message sent at
+    or after the globally earliest queued event [m] cannot deliver
+    before [m + L]: each window opens at [m] — the minimum next event
+    over all shards, so stretches with no event cost nothing — and
+    every shard runs its wheel up to [m + L] without consulting the
+    others; the mailboxes are then merged at the barrier in a
+    deterministic order ((delivery time, source shard, send sequence))
+    and the next window opens.  A zero lookahead (some cross-shard link
+    has zero base latency) needs no second mode: the window shrinks to
+    the single instant [m], and a same-instant cross-shard delivery
+    reopens it after the exchange.
 
     Determinism contract.  A fabric run is a function of (config seed,
     world, shard count): repeated runs are byte-identical.  Across
     {e different} shard counts, per-event content is preserved — network
     fault and jitter draws come from per-link keyed streams
-    ({!Cm_net.Net.draws.Keyed}) and workload randomness from per-tag
-    keyed streams ({!rng}), both pure functions of seed and name — but
-    the {e interleaving} of causally unrelated same-window events, and
+    ({!Cm_net.Net.draws.Keyed}), and workload drivers draw from keyed
+    streams too ({!Cm_util.Prng.of_key}), all pure functions of seed
+    and name — but the {e interleaving} of causally unrelated same-window events, and
     therefore raw trace ids, may differ.  The canonical forms
     ({!canonical_lines}, {!trace_digest}) quotient exactly that away:
     events are rendered without ids (generated events name their trigger
@@ -65,24 +65,16 @@ module Fabric : sig
 
       When [config.obs] is set, each shard gets its {e own} fresh
       registry (a shared one would race across domains); query merged
-      counters with {!counter_value} / {!counter_total}, or a single
-      shard's registry via {!system}.
+      counters with {!counter_total}, or a single shard's registry via
+      {!system}.
 
       @raise Invalid_argument if [config.shards < 1], or if
       [config.monitor] is set with more than one shard (the streaming
       monitor attaches to a single trace; run it unsharded). *)
 
-  val shard_count : t -> int
-
   val system : t -> int -> Cm_core.System.t
   (** The shard's underlying system — journals, recovery manager,
       per-shard registry, raw trace. *)
-
-  val owner : t -> site:string -> Cm_core.System.t
-  (** The system owning [site].  @raise Invalid_argument for a site the
-      fabric has never seen. *)
-
-  val shard_of : t -> site:string -> int
 
   (** {1 World assembly}
 
@@ -114,11 +106,6 @@ module Fabric : sig
       its stores) — the same locality rule every shell callback already
       obeys. *)
 
-  val rng : t -> tag:string -> Cm_util.Prng.t
-  (** A keyed stream ([Cm_util.Prng.of_key] over the config seed and
-      [tag]) — the same draws in the same order at every shard count.
-      Derive one stream per independent workload concern. *)
-
   (** {1 Topology and faults}
 
       Fault {e state} must agree across shards at matching virtual
@@ -130,11 +117,6 @@ module Fabric : sig
 
   val set_latency :
     t -> from_site:string -> to_site:string -> Cm_net.Net.latency -> unit
-
-  val set_faults :
-    t -> from_site:string -> to_site:string -> Cm_net.Net.faults -> unit
-
-  val set_default_faults : t -> Cm_net.Net.faults -> unit
 
   val schedule_crash : t -> site:string -> at:float -> unit
   val schedule_restart : t -> site:string -> at:float -> unit
@@ -149,16 +131,17 @@ module Fabric : sig
       base latency over cross-shard directed links ([infinity] when no
       site pair crosses shards, and the network default base fills in
       for any cross-shard pair without an explicit override).  [<= 0.]
-      announces the serialized fallback. *)
+      makes every window a single instant. *)
 
-  val run : ?lookahead:float -> t -> until:float -> unit
+  val run : t -> until:float -> unit
   (** Run every shard to [until] (events at [until] inclusive, like
-      {!Cm_core.System.run}): windowed parallel execution over
-      [config.shards] domains when the lookahead is positive, safe
-      serialization when it is not.  [?lookahead] overrides the computed
-      window — it must not exceed the true minimum cross-shard latency
-      or conservativeness is lost.  An exception raised inside a shard
-      is re-raised here after the workers are joined. *)
+      {!Cm_core.System.run}), then set every clock to [until].  One
+      shard runs {!Cm_core.System.run} directly; more run the window
+      loop above, the calling domain advancing shard 0 and one worker
+      domain per other shard (spawned per call).  Repeated calls with
+      increasing [until] reach the same event set as one call.  An
+      exception raised inside a shard stops the loop at the next
+      barrier and is re-raised here after every worker is joined. *)
 
   (** {1 Merged results} *)
 
@@ -176,9 +159,6 @@ module Fabric : sig
   val trace_digest : t -> string
   (** MD5 hex of {!canonical_lines} — the cross-layout comparison key
       pinned by the differential and golden suites. *)
-
-  val counter_value : ?labels:Cm_core.Obs.labels -> t -> string -> int
-  (** Sum of one labelled counter across every shard's registry. *)
 
   val counter_total : t -> string -> int
   (** Sum of {!Cm_core.Obs.counter_total} across shards. *)

@@ -67,7 +67,8 @@ let owns_y_or_qx item =
    base pair, finalize, and compare each verdict against the fold.
    With [~crash], the feed stops at an instant boundary near the middle
    of the trace, the y and qx watchers are wiped, relearned from the
-   history so far (initial values included) and the rest is fed live:
+   history so far (the monitor replays its own initial values) and the
+   rest is fed live:
    the verdicts must still equal the fold over the uninterrupted
    trace. *)
 let differential_one ~crash ~seed ~n ~with_initial ~ignore_after () =
@@ -116,14 +117,7 @@ let differential_one ~crash ~seed ~n ~with_initial ~ignore_after () =
      done;
      List.iteri (fun i e -> if i < !cut then record e) events;
      ignore (Monitor.crash_wipe m ~owns:owns_y_or_qx);
-     let initial_events =
-       List.map
-         (fun (item, v) ->
-           { Event.id = 0; time = 0.0; site = "s"; desc = Event.w item v;
-             kind = Event.Spontaneous })
-         initial
-     in
-     Monitor.relearn m (initial_events @ Trace.events trace);
+     Monitor.relearn m (Trace.events trace);
      List.iteri (fun i e -> if i >= !cut then record e) events
    end);
   Monitor.finalize m ~horizon;

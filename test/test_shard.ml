@@ -14,9 +14,9 @@
    of spontaneous U events.  Every world runs at shard counts 1, 2, 4
    and 7 (with a fresh random site→shard assignment per count) and each
    run is compared against the shards=1 oracle.  The zero-lookahead
-   degenerate case (a cross-shard link with zero base latency) is
-   pinned separately: it must serialize safely, not hang and not
-   diverge. *)
+   degenerate case (a cross-shard link with zero base latency, so every
+   window is one instant) is pinned separately, on a fixed world and on
+   100 random ones: it must not hang and not diverge. *)
 
 open Cm_rule
 module Fabric = Cm_shard.Shard.Fabric
@@ -29,10 +29,12 @@ module Prng = Cm_util.Prng
 let site i = Printf.sprintf "s%d" i
 let base i = Printf.sprintf "X%d" i
 
-(* base "X<i>" -> site "s<i>"; anything else lives at s0. *)
+(* base "X<i>" -> site "s<i>"; "T" lives at the shell-less translator
+   site "t"; anything else lives at s0. *)
 let locator item =
   let b = item.Item.base in
-  if String.length b > 1 && b.[0] = 'X' then
+  if String.equal b "T" then "t"
+  else if String.length b > 1 && b.[0] = 'X' then
     match int_of_string_opt (String.sub b 1 (String.length b - 1)) with
     | Some i -> site i
     | None -> site 0
@@ -83,7 +85,9 @@ let gen_world rng =
 let link_latency m i j =
   { Cm_net.Net.base = 0.3 +. (0.0053 *. float_of_int ((i * m) + j)); jitter = 0.0 }
 
-let build_fabric ~case ~shards ~assignment w =
+let zero_latency _ _ _ = { Cm_net.Net.base = 0.0; jitter = 0.0 }
+
+let build_fabric ?(latency = link_latency) ~case ~shards ~assignment w =
   let config =
     Config.seeded (4242 + case) |> Config.with_shards shards
     |> Config.with_obs (Obs.create ())
@@ -103,7 +107,7 @@ let build_fabric ~case ~shards ~assignment w =
     for j = 0 to w.m - 1 do
       if i <> j then
         Fabric.set_latency fab ~from_site:(site i) ~to_site:(site j)
-          (link_latency w.m i j)
+          (latency w.m i j)
     done
   done;
   Fabric.install fab
@@ -181,30 +185,39 @@ let check_equal ~case ~shards oracle got =
 
 let shard_counts = [ 2; 4; 7 ]
 
-let run_case case =
+(* Run one world at every shard count against the one-shard oracle.
+   [latency] sets every link's base; [chunks] drives each sharded
+   fabric to [until] in that many [run] calls.  Returns the oracle's
+   observation and the cross-shard message count per shard count. *)
+let run_case ?latency ?(chunks = 1) case =
   let rng = Prng.create ~seed:(100_000 + case) in
   let w = gen_world rng in
   let oracle_fab =
-    build_fabric ~case ~shards:1 ~assignment:(Array.make w.m 0) w
+    build_fabric ?latency ~case ~shards:1 ~assignment:(Array.make w.m 0) w
   in
   Fabric.run oracle_fab ~until:w.until;
   let oracle = observe w oracle_fab in
-  List.iter
-    (fun n ->
-      let arng = Prng.create ~seed:(case * 31) in
-      let assignment = Array.init w.m (fun _ -> Prng.int arng n) in
-      let fab = build_fabric ~case ~shards:n ~assignment w in
-      Fabric.run fab ~until:w.until;
-      check_equal ~case ~shards:n oracle (observe w fab))
-    shard_counts;
-  oracle
+  let forwarded =
+    List.map
+      (fun n ->
+        let arng = Prng.create ~seed:(case * 31) in
+        let assignment = Array.init w.m (fun _ -> Prng.int arng n) in
+        let fab = build_fabric ?latency ~case ~shards:n ~assignment w in
+        for c = 1 to chunks do
+          Fabric.run fab ~until:(w.until *. float_of_int c /. float_of_int chunks)
+        done;
+        check_equal ~case ~shards:n oracle (observe w fab);
+        Fabric.messages_forwarded fab)
+      shard_counts
+  in
+  (oracle, forwarded)
 
 let differential_cases () =
   let cases = 500 in
   let total_events = ref 0 in
   let total_fires = ref 0 in
   for case = 1 to cases do
-    let oracle = run_case case in
+    let oracle, _ = run_case case in
     total_events := !total_events + oracle.events;
     total_fires := !total_fires + oracle.fires_sent
   done;
@@ -219,8 +232,9 @@ let differential_cases () =
 (* ---- degenerate and structural cases -------------------------------- *)
 
 (* A zero-latency cross-shard link makes the conservative lookahead 0:
-   the fabric must fall back to safe serialization — terminate, and
-   agree with the sequential oracle — rather than hang or guess. *)
+   every window is a single instant, reopened at that instant while
+   same-instant deliveries cross shards — the run must terminate and
+   agree with the sequential oracle. *)
 let zero_lookahead_serializes () =
   let w =
     {
@@ -276,9 +290,84 @@ let zero_lookahead_serializes () =
   Alcotest.(check bool) "lookahead degenerates to zero" true
     (Fabric.lookahead sharded = 0.0);
   Fabric.run sharded ~until:w.until;
-  Alcotest.(check string) "serialized run matches the oracle"
+  Alcotest.(check string) "one-instant windows match the oracle"
     (Fabric.trace_digest oracle) (Fabric.trace_digest sharded);
   Alcotest.(check bool) "cross-shard messages flowed" true
+    (Fabric.messages_forwarded sharded > 0)
+
+(* Every link at base 0: the lookahead is zero and every window is a
+   single instant, on the random worlds of the 500-world suite. *)
+let zero_latency_differential () =
+  for case = 1 to 100 do
+    ignore (run_case ~latency:zero_latency case)
+  done
+
+(* A world run to [until] in seven calls reaches what one call does
+   (each call spawns its worker domains, so 30 worlds keep this cheap):
+   the same digest, counters and end state (both equal the oracle's)
+   and the same cross-shard message count. *)
+let chunked_runs_match_one_run () =
+  for case = 1 to 30 do
+    let _, one = run_case case in
+    let _, chunked = run_case ~chunks:7 case in
+    Alcotest.(check (list int))
+      (Printf.sprintf "case %d: messages forwarded" case)
+      one chunked
+  done
+
+exception Boom
+
+(* A callback that raises on the coordinator's shard (0) or on a
+   worker's (1) surfaces from [run] instead of hanging it; a fresh
+   fabric over the same world then runs clean. *)
+let raising_callback_reraises () =
+  let case = 3 in
+  let w = gen_world (Prng.create ~seed:(100_000 + case)) in
+  List.iter
+    (fun k ->
+      let assignment = Array.init w.m (fun i -> i mod 2) in
+      let fab = build_fabric ~case ~shards:2 ~assignment w in
+      Fabric.at fab ~site:(site k) 5.0 (fun () -> raise Boom);
+      match Fabric.run fab ~until:w.until with
+      | () -> Alcotest.failf "shard %d: the raise was swallowed" k
+      | exception Boom -> ())
+    [ 0; 1 ];
+  ignore (run_case case)
+
+(* A rule firing on shard 0 writes to a shell-less translator site
+   whose serving shell lives on shard 1: the request must route through
+   the serving shell across shards, as it does in one system. *)
+let translator_across_shards () =
+  let w =
+    {
+      m = 2;
+      rules = Parser.parse_rules "t0: U(X0, v) ->[5] WR(T, v)";
+      updates = [ (0, 7, 1.0); (0, 9, 2.0) ];
+      until = 10.0;
+    }
+  in
+  let run shards =
+    let fab = build_fabric ~case:0 ~shards ~assignment:[| 0; 1 |] w in
+    let shell = Fabric.shell_for fab ~site:(site 1) in
+    let fs = Cm_sources.Kvfile.create () in
+    let tr =
+      Cm_core.Tr_kvfile.create
+        ~sim:(Cm_core.System.sim (Fabric.system fab (shards - 1)))
+        ~fs ~site:"t" ~emit:(Shell.emitter_for shell ~site:"t")
+        ~report:(fun k -> Shell.report_failure shell k)
+        [ { Cm_core.Tr_kvfile.base = "T"; params = []; key_template = "t"; writable = true } ]
+    in
+    Fabric.register_translator fab ~shell (Cm_core.Tr_kvfile.cmi tr);
+    Fabric.run fab ~until:w.until;
+    Alcotest.(check (option string))
+      (Printf.sprintf "shards %d: written at t" shards)
+      (Some "9") (Cm_sources.Kvfile.read fs "t");
+    fab
+  in
+  let oracle = run 1 and sharded = run 2 in
+  Alcotest.(check string) "digest equals the one-shard oracle"
+    (Fabric.trace_digest oracle) (Fabric.trace_digest sharded);
+  Alcotest.(check bool) "the request crossed shards" true
     (Fabric.messages_forwarded sharded > 0)
 
 (* All sites on one shard of a multi-shard fabric: no pair crosses
@@ -326,6 +415,14 @@ let () =
         [
           Alcotest.test_case "zero lookahead serializes safely" `Quick
             zero_lookahead_serializes;
+          Alcotest.test_case "zero latency: 100 worlds at shards {2,4,7}" `Quick
+            zero_latency_differential;
+          Alcotest.test_case "7 chunked runs equal one run" `Quick
+            chunked_runs_match_one_run;
+          Alcotest.test_case "raising callback re-raised, fresh fabric clean"
+            `Quick raising_callback_reraises;
+          Alcotest.test_case "translator served across shards" `Quick
+            translator_across_shards;
           Alcotest.test_case "empty shard, unbounded lookahead" `Quick
             empty_shard_unbounded_lookahead;
           Alcotest.test_case "monitor rejected under shards" `Quick
