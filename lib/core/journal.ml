@@ -56,7 +56,7 @@ let epoch_phase_to_string = function
   | Ep_retired -> "retired"
 
 type record =
-  | Event of { time : float; site : string; desc : string }
+  | Event of { time : float; site : string; desc : Cm_rule.Event.desc }
   | Fire_sent of {
       time : float;
       rule_id : string;
@@ -130,7 +130,8 @@ let link_state_to_string l =
 let record_to_string r =
   match r with
   | Event { time; site; desc } ->
-    Printf.sprintf "%.3f event %s %s" time site desc
+    Printf.sprintf "%.3f event %s %s" time site
+      (Cm_rule.Event.desc_to_string desc)
   | Fire_sent { time; rule_id; to_site; trigger_id } ->
     Printf.sprintf "%.3f fire_sent %s -> %s trigger=%d" time rule_id to_site
       trigger_id
@@ -188,25 +189,17 @@ type t = {
   obs : Obs.t;
   mutable rev_records : record list;  (* newest first *)
   mutable count : int;
-  mutable bytes : int;  (* serialized size, the journal-overhead metric *)
   mutable checkpoints : int;
   mutable incarnation : int;  (* count of Restarted records appended *)
 }
 
-type stats = {
-  appends : int;
-  bytes : int;
-  checkpoints : int;
-  incarnation : int;
-}
+type stats = { appends : int; checkpoints : int; incarnation : int }
 
-let site t = t.site
-
+(* Records are kept as values; only a checkpoint is rendered here, for
+   the size series that tracks what a checkpoint costs to write. *)
 let append t r =
-  let size = String.length (record_to_string r) + 1 in
   t.rev_records <- r :: t.rev_records;
   t.count <- t.count + 1;
-  t.bytes <- t.bytes + size;
   Obs.incr t.obs "journal_appends"
     ~labels:[ ("site", t.site); ("kind", record_kind r) ];
   match r with
@@ -214,7 +207,7 @@ let append t r =
   | Checkpoint _ ->
     t.checkpoints <- t.checkpoints + 1;
     Obs.observe t.obs "journal_checkpoint_bytes" ~labels:[ ("site", t.site) ]
-      (float_of_int size)
+      (float_of_int (String.length (record_to_string r) + 1))
   | _ -> ()
 
 let records t = List.rev t.rev_records
@@ -222,14 +215,9 @@ let length t = t.count
 let incarnation (t : t) = t.incarnation
 
 let stats t =
-  {
-    appends = t.count;
-    bytes = t.bytes;
-    checkpoints = t.checkpoints;
-    incarnation = t.incarnation;
-  }
+  { appends = t.count; checkpoints = t.checkpoints; incarnation = t.incarnation }
 
-(* Recovery reads the log as: the newest checkpoint (if any) plus every
+(* The fold reads the log as: the newest checkpoint (if any) plus every
    record after it, oldest first.  Without checkpoints the whole stream
    comes back. *)
 let replay_base t : record option * record list =
@@ -240,6 +228,176 @@ let replay_base t : record option * record list =
     | r :: rest -> split (r :: after) rest
   in
   split [] t.rev_records
+
+(* -- the replay fold: the one reader of the log -- *)
+
+type epoch_op =
+  | Op_propose of int * Rule.t list
+  | Op_cutover of int
+  | Op_retire of int
+
+type replay = {
+  incarnation : int;
+  store : (Item.t * Value.t) list;
+  links : link_state list;
+  sent_to : string list;
+  epoch_ops : epoch_op list;
+  replayed : int;
+}
+
+module Int_map = Map.Make (Int)
+module Int_set = Set.Make (Int)
+module String_map = Map.Make (String)
+
+(* One peer's transport state while folding; [sender] is set once an
+   outbound or ack record (or a checkpoint) names the peer. *)
+type peer = {
+  mutable sender : bool;
+  mutable next_mid : int;
+  mutable unacked : (int * int * Msg.t) Int_map.t;  (* mid -> epoch, seq, payload *)
+  mutable in_epoch : int;
+  mutable in_expected : int;
+  mutable delivered : Int_set.t;
+}
+
+let replay t =
+  let base, rest = replay_base t in
+  let store = ref Item.Map.empty and peers = ref String_map.empty in
+  let incarnation = ref 0 and rev_ops = ref [] in
+  let peer ?(sender = false) name =
+    let p =
+      match String_map.find_opt name !peers with
+      | Some p -> p
+      | None ->
+        let p =
+          { sender; next_mid = 0; unacked = Int_map.empty; in_epoch = 0;
+            in_expected = 0; delivered = Int_set.empty }
+        in
+        peers := String_map.add name p !peers;
+        p
+    in
+    if sender then p.sender <- true;
+    p
+  in
+  (match base with
+   | Some (Checkpoint c) ->
+     (* The frozen epoch phases reconstruct canonically as an op
+        sequence: all proposals ascending, then a cutover for every
+        epoch past the proposed phase ascending (cutovers are monotonic,
+        so the last one is the active epoch), then the retirements.  A
+        retire of a merely proposed epoch is impossible, so phases
+        determine the ops unambiguously. *)
+     let ops keep op =
+       List.filter_map
+         (fun (e, phase, rules) -> if keep e phase then Some (op e rules) else None)
+         c.rule_epochs
+     in
+     rev_ops :=
+       List.rev
+         (ops (fun e _ -> e > 0) (fun e rules -> Op_propose (e, rules))
+         @ ops (fun e phase -> e > 0 && phase <> Ep_proposed) (fun e _ -> Op_cutover e)
+         @ ops (fun _ phase -> phase = Ep_retired) (fun e _ -> Op_retire e));
+     incarnation := c.incarnation;
+     store := Item.Map.of_seq (List.to_seq c.store);
+     List.iter
+       (fun (l : link_state) ->
+         let p = peer ~sender:true l.peer in
+         p.next_mid <- l.next_mid;
+         p.unacked <-
+           Int_map.of_seq
+             (Seq.map (fun (mid, e, s, m) -> (mid, (e, s, m))) (List.to_seq l.unacked));
+         p.in_epoch <- l.in_epoch;
+         p.in_expected <- l.in_expected;
+         p.delivered <- Int_set.of_list l.delivered_mids)
+       c.links
+   | _ -> ());
+  List.iter
+    (function
+      | Store_write { item; value; _ } -> store := Item.Map.add item value !store
+      | Outbound { to_site; mid; epoch; seq; payload; _ } ->
+        let p = peer ~sender:true to_site in
+        p.next_mid <- max p.next_mid (mid + 1);
+        p.unacked <- Int_map.add mid (epoch, seq, payload) p.unacked
+      | Acked { to_site; mid; _ } ->
+        let p = peer ~sender:true to_site in
+        p.unacked <- Int_map.remove mid p.unacked
+      | Delivered { from_site; epoch; seq; mid; _ } ->
+        let p = peer from_site in
+        p.in_epoch <- epoch;
+        p.in_expected <- seq + 1;
+        p.delivered <- Int_set.add mid p.delivered
+      | Restarted { incarnation = n; _ } -> incarnation := max !incarnation n
+      | Epoch_proposed { epoch; rules; _ } ->
+        rev_ops := Op_propose (epoch, rules) :: !rev_ops
+      | Epoch_cutover { epoch; _ } -> rev_ops := Op_cutover epoch :: !rev_ops
+      | Epoch_retired { epoch; _ } -> rev_ops := Op_retire epoch :: !rev_ops
+      (* A rollback's epoch-state effects replay via its own proposal and
+         cutover records. *)
+      | Epoch_rollback _ | Event _ | Fire_sent _ | Checkpoint _ -> ())
+    rest;
+  let peers = String_map.bindings !peers in
+  {
+    incarnation = !incarnation;
+    store = Item.Map.bindings !store;
+    links =
+      List.map
+        (fun (name, p) ->
+          {
+            peer = name;
+            next_mid = p.next_mid;
+            unacked =
+              List.map (fun (mid, (e, s, m)) -> (mid, e, s, m)) (Int_map.bindings p.unacked);
+            in_epoch = p.in_epoch;
+            in_expected = p.in_expected;
+            delivered_mids = Int_set.elements p.delivered;
+          })
+        peers;
+    sent_to = List.filter_map (fun (name, p) -> if p.sender then Some name else None) peers;
+    epoch_ops = List.rev !rev_ops;
+    replayed = List.length rest + (if Option.is_none base then 0 else 1);
+  }
+
+(* Epoch state implied by a transition sequence — the checkpoint's
+   frozen form of [epoch_ops]. *)
+let epoch_summary ops =
+  let phases : (int, epoch_phase * Rule.t list) Hashtbl.t = Hashtbl.create 4 in
+  let rules_of e = match Hashtbl.find_opt phases e with Some (_, r) -> r | None -> [] in
+  let active = ref 0 in
+  List.iter
+    (function
+      | Op_propose (e, rules) -> Hashtbl.replace phases e (Ep_proposed, rules)
+      | Op_cutover e ->
+        (* epoch 0 is configuration: it has no journaled rules *)
+        Hashtbl.replace phases !active (Ep_draining, rules_of !active);
+        Hashtbl.replace phases e (Ep_active, rules_of e);
+        active := e
+      | Op_retire e -> Hashtbl.replace phases e (Ep_retired, rules_of e))
+    ops;
+  let entries =
+    Hashtbl.fold
+      (fun e (phase, rules) acc -> (e, phase, if e = 0 then [] else rules) :: acc)
+      phases []
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  in
+  (entries, !active)
+
+(* A checkpoint is the fold frozen into a record, so replay from it and
+   replay from the origin agree by construction. *)
+let checkpoint t ~time =
+  let r = replay t in
+  let rule_epochs, active_epoch = epoch_summary r.epoch_ops in
+  append t
+    (Checkpoint
+       { time; incarnation = t.incarnation; store = r.store; links = r.links;
+         rule_epochs; active_epoch })
+
+let events t =
+  List.filter_map
+    (function
+      | Event { time; site; desc } ->
+        Some { Cm_rule.Event.id = 0; time; site; desc; kind = Cm_rule.Event.Spontaneous }
+      | _ -> None)
+    (records t)
 
 let to_string t =
   let buf = Buffer.create 256 in
@@ -261,15 +419,8 @@ let for_site reg ~site =
   | Some j -> j
   | None ->
     let j =
-      {
-        site;
-        obs = reg.reg_obs;
-        rev_records = [];
-        count = 0;
-        bytes = 0;
-        checkpoints = 0;
-        incarnation = 0;
-      }
+      { site; obs = reg.reg_obs; rev_records = []; count = 0; checkpoints = 0;
+        incarnation = 0 }
     in
     Hashtbl.replace reg.by_site site j;
     j

@@ -14,7 +14,13 @@
     wipes only volatile state.  Appends are deterministic in simulation
     order and {!to_string} is canonical, so two runs of the same seed
     produce byte-identical journals — the replay-determinism tests rely
-    on this. *)
+    on this.
+
+    Records are stored as values.  Only {!record_to_string} and
+    {!to_string} render them; {!append} renders nothing but checkpoints
+    (for the [journal_checkpoint_bytes] series).  This module is also
+    the only reader of its records: recovery, re-queueing and monitor
+    relearn go through {!replay} and {!events}. *)
 
 (** How much a {!System} remembers across crashes.  [None] is the
     pre-recovery behaviour: a crash loses in-flight traffic and volatile
@@ -48,8 +54,10 @@ type epoch_phase = Ep_proposed | Ep_active | Ep_draining | Ep_retired
 val epoch_phase_to_string : epoch_phase -> string
 
 type record =
-  | Event of { time : float; site : string; desc : string }
-      (** An event recorded at this site (trace-level memory). *)
+  | Event of { time : float; site : string; desc : Cm_rule.Event.desc }
+      (** An event recorded at [site] (trace-level memory), kept as the
+          descriptor itself so replay reads back exactly what was
+          recorded. *)
   | Fire_sent of {
       time : float;
       rule_id : string;
@@ -128,12 +136,10 @@ val record_to_string : record -> string
 
 type t
 
-val site : t -> string
-
 val append : t -> record -> unit
 (** Appends are observable as [journal_appends] counters (labels [site],
     [kind]); checkpoint records additionally feed the
-    [journal_checkpoint_bytes] series. *)
+    [journal_checkpoint_bytes] series (their rendered size). *)
 
 val records : t -> record list
 (** Oldest first. *)
@@ -144,20 +150,49 @@ val incarnation : t -> int
 (** Number of {!Restarted} records appended — the epoch under which the
     site's reliable links currently operate. *)
 
-val replay_base : t -> record option * record list
-(** The newest {!Checkpoint} (if any) and every record after it, oldest
-    first: exactly what recovery replays. *)
+(** {2 Replay} *)
+
+(** A rule-epoch transition, in the order a site went through it. *)
+type epoch_op =
+  | Op_propose of int * Cm_rule.Rule.t list
+  | Op_cutover of int
+  | Op_retire of int
+
+(** The durable state a journal implies. *)
+type replay = {
+  incarnation : int;
+  store : (Cm_rule.Item.t * Cm_rule.Value.t) list;  (** in item order *)
+  links : link_state list;
+      (** every peer the transport state names, in peer order: the
+          unacknowledged outbound messages (ascending mid) and the
+          receiver window towards each *)
+  sent_to : string list;
+      (** the peers of [links] whose sender half the log records — an
+          outbound or ack record after the base, or a link of the base
+          checkpoint — in peer order *)
+  epoch_ops : epoch_op list;  (** rule-epoch transitions, in order *)
+  replayed : int;  (** records folded, checkpoint base included *)
+}
+
+val replay : t -> replay
+(** The one fold over the log: the newest {!Checkpoint} (if any), then
+    every record after it, oldest first.  Recovery restores from it, the
+    reliable layer re-queues from its [links], and {!checkpoint} freezes
+    it. *)
+
+val checkpoint : t -> time:float -> unit
+(** Append {!replay} frozen into a {!Checkpoint} record, so replay from
+    it and replay from the origin agree by construction. *)
+
+val events : t -> Cm_rule.Event.t list
+(** The journaled events, oldest first, as spontaneous events with id 0
+    — the history a restarted monitor relearns. *)
 
 val to_string : t -> string
 (** One canonical line per record — byte-identical across replays of the
     same seed. *)
 
-type stats = {
-  appends : int;
-  bytes : int;  (** total serialized size — the journal-overhead metric *)
-  checkpoints : int;
-  incarnation : int;
-}
+type stats = { appends : int; checkpoints : int; incarnation : int }
 
 val stats : t -> stats
 

@@ -10,10 +10,10 @@
     + the volatile state the crash destroyed is wiped explicitly (shell
       store, reliable-transport link state) — recovery must not cheat by
       reading surviving heap state;
-    + the journal is replayed — the newest checkpoint, then every record
-      after it — rebuilding the store, the receiver windows and
-      duplicate-suppression sets, and the set of unacknowledged outbound
-      messages;
+    + the journal is replayed through {!Journal.replay} — the newest
+      checkpoint, then every record after it — rebuilding the store, the
+      rule-epoch state, the receiver windows and duplicate-suppression
+      sets, and the set of unacknowledged outbound messages;
     + unacknowledged messages are re-queued under the new incarnation's
       {e epoch} with fresh sequence numbers but their original stable
       mids, so receivers deduplicate re-sends and reject the previous
@@ -22,10 +22,10 @@
       arrive late, never never — which also serves as the sign of life
       that makes peers re-queue what they gave up sending here.
 
-    Checkpoints ([Journal_with_checkpoint]) are taken on a periodic
-    simulation timer per registered shell and freeze the derived state
-    into the journal, bounding replay.  The derived state is a pure
-    function of the journal, so replay-from-checkpoint and
+    Checkpoints ([Journal_with_checkpoint]) are taken every 60 simulated
+    seconds per registered shell and freeze that same fold into the
+    journal ({!Journal.checkpoint}), bounding replay.  This module reads
+    the log only through the fold, so replay-from-checkpoint and
     replay-from-origin agree by construction, and two replays of the
     same run are byte-identical. *)
 
@@ -37,19 +37,10 @@ val create :
   ?reliable:Reliable.t ->
   journals:Journal.registry ->
   ?obs:Obs.t ->
-  ?checkpoint_period:float ->
   Journal.durability ->
   t
-(** [checkpoint_period] (default {!default_checkpoint_period}) only
-    matters under [Journal_with_checkpoint].  [obs] receives
-    [recovery_crashes], [recovery_restarts], [recovery_replayed_records]
-    and [recovery_checkpoints] counters. *)
-
-val default_checkpoint_period : float
-(** 60 simulated seconds. *)
-
-val mode : t -> Journal.durability
-val journals : t -> Journal.registry
+(** [obs] receives [recovery_crashes], [recovery_restarts],
+    [recovery_replayed_records] and [recovery_checkpoints] counters. *)
 
 val register_shell : t -> Shell.t -> unit
 (** Makes the shell's volatile state recoverable and, under
@@ -67,7 +58,7 @@ val restart : t -> site:string -> unit
     skipped, transport recovery still runs. *)
 
 val checkpoint_now : t -> site:string -> unit
-(** Freeze the journal-derived state into a [Checkpoint] record now —
+(** Freeze the journal's replay into a [Checkpoint] record now —
     the periodic timer uses this; tests use it to place checkpoints at
     awkward instants (e.g. between the two halves of a firing). *)
 

@@ -76,7 +76,6 @@ type t = {
          first use after a registration, not at every one *)
   links : (string * string, link) Hashtbl.t;
   suspect_hooks : (site:string -> suspect:string -> unit) Queue.t;
-  recover_hooks : (site:string -> peer:string -> unit) Queue.t;
   mutable data_sent : int;
   mutable retransmits : int;
   mutable acks_sent : int;
@@ -102,7 +101,6 @@ let create ~sim ~net ?(config = default_config) ?(obs = Obs.noop) ?journals () =
     sites = lazy [];
     links = Hashtbl.create 16;
     suspect_hooks = Queue.create ();
-    recover_hooks = Queue.create ();
     data_sent = 0;
     retransmits = 0;
     acks_sent = 0;
@@ -152,7 +150,6 @@ let link t ~from_site ~to_site =
    quadratic when registering in a loop); queues preserve registration
    order on iteration. *)
 let on_suspect t hook = Queue.add hook t.suspect_hooks
-let on_recover t hook = Queue.add hook t.recover_hooks
 
 let suspect t ep peer =
   if not (Hashtbl.mem ep.suspected peer) then begin
@@ -239,24 +236,22 @@ let requeue_unacked t ~from_site ~to_site =
   | None -> ()
   | Some j ->
     let l = link t ~from_site ~to_site in
-    let unacked : (int, int * int * Msg.t) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun r ->
-        match r with
-        | Journal.Outbound { to_site = peer; mid; epoch; seq; payload; _ }
-          when String.equal peer to_site ->
-          Hashtbl.replace unacked mid (epoch, seq, payload)
-        | Journal.Acked { to_site = peer; mid; _ }
-          when String.equal peer to_site -> Hashtbl.remove unacked mid
-        | _ -> ())
-      (Journal.records j);
+    let unacked =
+      match
+        List.find_opt
+          (fun (ls : Journal.link_state) -> String.equal ls.peer to_site)
+          (Journal.replay j).links
+      with
+      | Some ls -> ls.unacked
+      | None -> []
+    in
     let in_flight_mids =
       Hashtbl.fold (fun _ (e, m, _) acc -> if e = l.epoch then m :: acc else acc)
         l.outstanding []
     in
-    Hashtbl.fold (fun mid entry acc -> (mid, entry) :: acc) unacked []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)  (* original send order *)
-    |> List.iter (fun (mid, (epoch, seq, payload)) ->
+    (* ascending mid: original send order *)
+    List.iter
+      (fun (mid, epoch, seq, payload) ->
         if not (List.mem mid in_flight_mids) then begin
           let seq' =
             if epoch = l.epoch then seq
@@ -277,6 +272,7 @@ let requeue_unacked t ~from_site ~to_site =
           transmit t ~from_site ~to_site l ~seq:seq' ~attempt:0
             ~timeout:t.cfg.retry_timeout
         end)
+      unacked
 
 (* Any frame from [peer] counts as a sign of life.  If we had given up
    on messages towards a suspected peer, hearing it again re-queues the
@@ -288,7 +284,6 @@ let heard t ep peer =
     t.recoveries <- t.recoveries + 1;
     Obs.incr t.obs "reliable_recoveries"
       ~labels:[ ("site", ep.ep_site); ("peer", peer) ];
-    Queue.iter (fun hook -> hook ~site:ep.ep_site ~peer) t.recover_hooks;
     ep.deliver (Msg.Reset_notice { origin_site = peer });
     requeue_unacked t ~from_site:ep.ep_site ~to_site:peer
   end

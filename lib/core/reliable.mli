@@ -123,9 +123,6 @@ val on_suspect : t -> (site:string -> suspect:string -> unit) -> unit
     suspecting [suspect], in addition to the local {!Msg.Suspect_down}
     delivery.  Registration is O(1). *)
 
-val on_recover : t -> (site:string -> peer:string -> unit) -> unit
-(** Registration is O(1) (used to be a quadratic list append). *)
-
 val suspects : t -> site:string -> string list
 (** Peers currently suspected by [site]'s detector, sorted. *)
 
@@ -158,12 +155,13 @@ val restore_receiver_state :
     number, and the cross-incarnation duplicate-suppression set. *)
 
 val requeue_unacked : t -> from_site:string -> to_site:string -> unit
-(** Re-send every journal-unacked message from [from_site] to [to_site]
-    that is not already in flight, in original send order.  Entries from
-    the current epoch resume their original sequence slot; entries from
-    a previous incarnation are re-sent under the current epoch with
-    fresh sequence numbers (and their stable mid).  No-op without a
-    journal. *)
+(** Re-send every message from [from_site] to [to_site] that
+    [from_site]'s journal replay ({!Journal.replay}) still holds
+    unacknowledged and that is not already in flight, in original send
+    order.  Entries from the current epoch resume their original
+    sequence slot; entries from a previous incarnation are re-sent under
+    the current epoch with fresh sequence numbers (and their stable
+    mid).  No-op without a journal. *)
 
 val stats : t -> stats
 

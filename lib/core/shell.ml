@@ -27,9 +27,7 @@ type rule_epoch = {
   re_by_id : (string, Rule.t) Hashtbl.t;
 }
 
-(* A replayable epoch transition, as recovery derives it from the
-   journal. *)
-type epoch_op =
+type epoch_op = Journal.epoch_op =
   | Op_propose of int * Rule.t list
   | Op_cutover of int
   | Op_retire of int
@@ -286,10 +284,7 @@ let rec occurred t (event : Event.t) =
 and emit_at t ~site desc ~kind =
   let event = Trace.record t.trace ~time:(Sim.now t.sim) ~site ~kind desc in
   (match t.journal with
-   | Some j ->
-     Journal.append j
-       (Journal.Event
-          { time = event.Event.time; site; desc = Event.desc_to_string desc })
+   | Some j -> Journal.append j (Journal.Event { time = event.Event.time; site; desc })
    | None -> ());
   occurred t event;
   event

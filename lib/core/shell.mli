@@ -172,8 +172,8 @@ val retire_epoch : t -> epoch:int -> unit
 (** End a draining epoch: firings tagged with it are rejected and
     counted from now on.  Only a draining epoch can retire. *)
 
-(** A replayed epoch transition (see {!Recovery}). *)
-type epoch_op =
+(** A replayed epoch transition, as {!Journal.replay} derives it. *)
+type epoch_op = Journal.epoch_op =
   | Op_propose of int * Cm_rule.Rule.t list
   | Op_cutover of int
   | Op_retire of int

@@ -304,21 +304,10 @@ let relearn_monitor t m =
   match t.journals with
   | None -> ()
   | Some reg ->
-    let events =
-      List.concat_map
-        (fun site ->
-          List.filter_map
-            (function
-              | Journal.Event { time; site; desc } -> (
-                match Trace_io.parse_desc desc with
-                | Ok desc ->
-                  Some { Event.id = 0; time; site; desc; kind = Event.Spontaneous }
-                | Error _ -> None)
-              | _ -> None)
-            (Journal.records (Journal.for_site reg ~site)))
-        (Journal.sites reg)
-    in
-    Monitor.relearn m events
+    Monitor.relearn m
+      (List.concat_map
+         (fun site -> Journal.events (Journal.for_site reg ~site))
+         (Journal.sites reg))
 
 let restart_site t ~site =
   (match t.recovery with

@@ -491,6 +491,49 @@ let system_crash_between_violation_and_detection () =
          scan 0)
        !violations)
 
+(* The relearned history is the journaled events as recorded, not a
+   rendering of them: a float that %g would round (1234567.5 prints as
+   1234570) must come back exactly, or the follower's later take of the
+   real value reads as a value the leader never had.  [b] crashes and
+   restarts while the firing is on the wire, so the Follows watcher
+   homed at [b] is wiped and relearned before the follower writes. *)
+let float_value_survives_relearn () =
+  let locator item = if String.equal item.Item.base "Xa" then "a" else "b" in
+  let config =
+    Sys_.Config.(
+      seeded 17 |> with_monitor true
+      |> with_durability Cm_core.Journal.Journal)
+  in
+  let system = Sys_.create ~config locator in
+  let sa = Sys_.add_shell system ~site:"a" in
+  ignore (Sys_.add_shell system ~site:"b");
+  Sys_.install system
+    {
+      Cm_core.Strategy.strategy_name = "copy";
+      description = "copy";
+      rules = Parser.parse_rules "r: W(Xa, v) ->[5] W(Xb, v)";
+      aux_init = [];
+    };
+  let monitor = Option.get (Sys_.monitor system) in
+  let g = Guarantee.Follows { leader = Item.make "Xa"; follower = Item.make "Xb" } in
+  let h = Monitor.watch monitor g in
+  let sim = Sys_.sim system in
+  Cm_sim.Sim.schedule_at sim 1.0 (fun () ->
+      ignore
+        (Cm_core.Shell.emitter_for sa ~site:"a"
+           (Event.w (Item.make "Xa") (Value.Float 1234567.5))
+           ~kind:Event.Spontaneous));
+  Cm_sim.Sim.schedule_at sim 1.01 (fun () -> Sys_.crash_site system ~site:"b");
+  Cm_sim.Sim.schedule_at sim 1.02 (fun () -> Sys_.restart_site system ~site:"b");
+  Sys_.run system ~until:20.0;
+  Monitor.finalize monitor ~horizon:20.0;
+  let rep = Sys_.check_guarantee system g in
+  let v = Monitor.verdict h in
+  Alcotest.(check bool) "the fold holds" true rep.Guarantee.holds;
+  Alcotest.(check bool) "holds" rep.Guarantee.holds v.Monitor.v_holds;
+  Alcotest.(check int) "points" rep.Guarantee.checked_points v.Monitor.v_points;
+  Alcotest.(check int) "no violations" 0 v.Monitor.v_violations
+
 (* The monitor only observes: a monitored run's trace is byte-identical
    to an unmonitored one. *)
 let observation_only () =
@@ -545,5 +588,7 @@ let () =
             crash_replayed_ins_sees_its_own_history;
           Alcotest.test_case "system-level lost propagation" `Quick
             system_crash_between_violation_and_detection;
+          Alcotest.test_case "float value survives relearn" `Quick
+            float_value_survives_relearn;
         ] );
     ]

@@ -11,6 +11,8 @@ module Reliable = Cm_core.Reliable
 module Journal = Cm_core.Journal
 module Recovery = Cm_core.Recovery
 module Shell = Cm_core.Shell
+module Strategy = Cm_core.Strategy
+module Evolution = Cm_core.Evolution
 module Sys_ = Cm_core.System
 module Obs = Cm_core.Obs
 module Payroll = Cm_workload.Payroll
@@ -188,6 +190,100 @@ let checkpoint_between_firing_halves () =
   Alcotest.(check int) "fired exactly once" 1
     (Shell.fires_executed p.Payroll.shell_b);
   Alcotest.(check int) "no logical failure" 0 !logical
+
+(* A checkpoint is the fold frozen: Journal.replay over a log with its
+   checkpoints must give what it gives over the same records with every
+   checkpoint dropped, or a restart (and every re-queue) after a
+   checkpoint would restore something other than what was logged.
+   Payroll worlds under a rule-epoch cutover, a retirement and crashes
+   on both sites, with checkpoints before, between and after them; [b]
+   is down at the end, so [a]'s newest checkpoint holds unacked
+   messages. *)
+let copy_journal ~keep j =
+  let fresh = Journal.for_site (Journal.create_registry ()) ~site:"copy" in
+  List.iter (fun r -> if keep r then Journal.append fresh r) (Journal.records j);
+  fresh
+
+(* The epoch phases a fold implies, as a checkpoint of it freezes them. *)
+let frozen_epochs j =
+  let c = copy_journal ~keep:(fun _ -> true) j in
+  Journal.checkpoint c ~time:0.0;
+  match List.rev (Journal.records c) with
+  | Journal.Checkpoint { rule_epochs; active_epoch; _ } :: _ ->
+    (rule_epochs, active_epoch)
+  | _ -> Alcotest.fail "checkpoint expected"
+
+let fold_agrees_with_and_without_checkpoints () =
+  List.iter
+    (fun seed ->
+      let config =
+        Sys_.Config.(
+          seeded seed
+          |> with_reliable Reliable.default_config
+          |> with_durability Journal.Journal_with_checkpoint)
+      in
+      let p = Payroll.create ~config ~employees:3 () in
+      Payroll.install_propagation p;
+      let system = p.Payroll.system in
+      let evo = Evolution.create system in
+      let sim = Sys_.sim system in
+      Payroll.random_updates p ~mean_interarrival:8.0 ~until:400.0;
+      let at time f = Sim.schedule_at sim time f in
+      let crash site ~from ~until =
+        at from (fun () -> Sys_.crash_site system ~site);
+        at until (fun () -> Sys_.restart_site system ~site)
+      in
+      at 70.0 (fun () ->
+          match
+            Evolution.evolve ~quiesce:false evo
+              (Strategy.propagate ~prefix:"v2" ~delta:5.0
+                 ~source:Payroll.source_pattern ~target:Payroll.target_pattern ())
+          with
+          | Ok _ -> ()
+          | Error m -> Alcotest.fail m);
+      crash Payroll.site_b ~from:75.0 ~until:130.0;
+      at 150.0 (fun () -> ignore (Evolution.retire evo ~epoch:0));
+      crash Payroll.site_a ~from:200.0 ~until:260.0;
+      crash Payroll.site_b ~from:320.0 ~until:330.0;
+      at 405.0 (fun () -> Sys_.crash_site system ~site:Payroll.site_b);
+      Payroll.schedule_update p ~at:410.0 ~emp:"e1" ~salary:4100;
+      Sys_.run system ~until:450.0;
+      List.iter
+        (fun site ->
+          let label what = Printf.sprintf "seed %d %s: %s" seed site what in
+          let j = Option.get (Sys_.journal system ~site) in
+          let bare =
+            copy_journal j ~keep:(function Journal.Checkpoint _ -> false | _ -> true)
+          in
+          Alcotest.(check bool) (label "has checkpoints") true
+            ((Journal.stats j).Journal.checkpoints >= 3);
+          let cp = Journal.replay j and origin = Journal.replay bare in
+          Alcotest.(check bool) (label "checkpoint base shortens replay") true
+            (cp.Journal.replayed < origin.Journal.replayed);
+          Alcotest.(check int) (label "incarnation") origin.Journal.incarnation
+            cp.Journal.incarnation;
+          Alcotest.(check bool) (label "store") true
+            (cp.Journal.store = origin.Journal.store);
+          Alcotest.(check bool) (label "links") true
+            (cp.Journal.links = origin.Journal.links);
+          let carries f = List.exists f cp.Journal.links in
+          Alcotest.(check bool) (label "links carry state") true
+            (carries (fun l -> l.next_mid > 0 || l.delivered_mids <> []));
+          if String.equal site Payroll.site_a then
+            Alcotest.(check bool) (label "the newest checkpoint holds unacked") true
+              (carries (fun l -> l.unacked <> []));
+          let epochs = frozen_epochs j in
+          Alcotest.(check bool) (label "epoch phases") true
+            (epochs = frozen_epochs bare);
+          let rule_epochs, active = epochs in
+          Alcotest.(check int) (label "active epoch") 1 active;
+          Alcotest.(check (list string)) (label "phases of epochs 0 and 1")
+            [ "retired"; "active" ]
+            (List.map
+               (fun (_, phase, _) -> Journal.epoch_phase_to_string phase)
+               rule_epochs))
+        [ Payroll.site_a; Payroll.site_b ])
+    [ 3; 19; 41 ]
 
 (* -- determinism -- *)
 
@@ -498,6 +594,8 @@ let () =
         [
           Alcotest.test_case "between firing halves" `Quick
             checkpoint_between_firing_halves;
+          Alcotest.test_case "fold agrees with and without checkpoints" `Quick
+            fold_agrees_with_and_without_checkpoints;
         ] );
       ( "determinism",
         [
